@@ -19,6 +19,7 @@ from .ratfun import (
     DivisionByZero,
     ParseError,
     RatFun,
+    _is_atom,
     format_ratfun,
     random_point,
 )
@@ -210,16 +211,6 @@ def _parse_expr_atom(toks, field):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _atomic_coeff(s):
-    if s.isdigit():
-        return True
-    if s in ("q", "t"):
-        return True
-    if len(s) > 2 and s[0] in "qt" and s[1] == "^" and s[2:].isdigit():
-        return True
-    return False
-
-
 def _wrapped(s):
     if not (s.startswith("(") and s.endswith(")")):
         return False
@@ -248,7 +239,7 @@ def render_plain(f):
             parts.append(gen)
         elif cs == "-1":
             parts.append("-" + gen)
-        elif _atomic_coeff(cs) or _wrapped(cs):
+        elif _is_atom(cs) or _wrapped(cs):
             parts.append("%s*%s" % (cs, gen))
         else:
             parts.append("(%s)*%s" % (cs, gen))

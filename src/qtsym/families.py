@@ -19,16 +19,21 @@ from .partitions import (
     horizontal_strip,
     multiplicities,
     t_factors,
+    union,
 )
 from .ratfun import SYMBOLIC
 from . import symfun
 from .symfun import (
+    NotDivisible,
     NSymPoly,
+    SingularTransition,
     SymFun,
     XPoly,
     _express_in_basis,
     _memo,
+    _p_pairing,
     antisymmetrize_to_schur,
+    axpy,
     schur_in_m_limited,
 )
 
@@ -61,27 +66,24 @@ def hl_alternant(lam, N, field=SYMBOLIC):
     def build():
         pad = tuple(lam) + (0,) * (N - len(lam))
         shifted = {}
-        for e, c in t_deformed_vandermonde(N, field).terms.items():
+        for e, c in t_deformed_vandermonde(N, field).coeffs.items():
             shifted[tuple(e[i] + pad[i] for i in range(N))] = c
         acc = antisymmetrize_to_schur(XPoly(N, shifted, field))
         v = t_factors(lam, N=N, field=field).v
         out = {}
         for nu, c in acc.items():
-            c = c / v
-            for mu, d in schur_in_m_limited(nu, N, field).items():
-                s = out.get(mu, field.zero) + c * d
-                if s:
-                    out[mu] = s
-                else:
-                    del out[mu]
+            axpy(out, schur_in_m_limited(nu, N, field), c / v)
         if field.is_symbolic:
             for mu, c in out.items():
-                assert c.den == 1 and c.num.max_deg_q() == 0, (
-                    "coefficient of %r leaves Z[t]: %s" % (tuple(mu), c)
-                )
+                _require_z_t(c, "coefficient of %r" % (tuple(mu),))
         return NSymPoly(N, out, field)
 
     return _memo(("hl_alt", lam, N, field), build)
+
+
+def _require_z_t(c, what):
+    if not (c.den == 1 and c.num.max_deg_q() == 0):
+        raise NotDivisible("%s leaves Z[t]: %s" % (what, c))
 
 
 def hl_in_m(lam, field=SYMBOLIC):
@@ -128,11 +130,6 @@ def hl_in_p(lam, kind, field=SYMBOLIC):
     return _memo(("hl_p", kind, lam, field), build)
 
 
-def schur_in_m(lam, field=SYMBOLIC):
-    """Monomial expansion of the Schur function (h-determinant route)."""
-    return symfun.schur_in_m(lam, field)
-
-
 def schur(lam, degree_bound=None, field=SYMBOLIC):
     lam = Partition(lam)
     bound = sum(lam) if degree_bound is None else degree_bound
@@ -149,12 +146,8 @@ def q_row_series(degree_bound, field=SYMBOLIC):
         for n in range(1, m + 1):
             factor = field.one - field.t ** n
             for mu, c in rows[m - n].items():
-                key = Partition(sorted(tuple(mu) + (n,), reverse=True))
-                s = acc.get(key, field.zero) + c * factor
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+                key = union(mu, (n,))
+                acc[key] = acc.get(key, field.zero) + c * factor
         inv_m = field.from_fraction(Fraction(1, m))
         rows.append({k: c * inv_m for k, c in acc.items()})
     return [SymFun("p", rows[m], degree_bound, field) for m in range(1, degree_bound + 1)]
@@ -170,60 +163,36 @@ def _macdonald_degree(degree, field):
         out_m = {}
         out_p = {}
         norms = {}
-        done = []
         for lam in sorted(lams, key=grevlex_key, reverse=True):
             # ascending dominance: reverse of the canonical enumeration order
             vec_m = {lam: field.one}
             vec_p = dict(m_to_p[lam])
-            for mu in done:
-                c = _p_dot(vec_p, out_p[mu], field)
+            for mu in out_p:
+                c = _p_pairing(vec_p, out_p[mu], field)
                 if not c:
                     continue
-                c = c / norms[mu]
-                _sub_scaled(vec_m, out_m[mu], c, field)
-                _sub_scaled(vec_p, out_p[mu], c, field)
+                c = -c / norms[mu]
+                axpy(vec_m, out_m[mu], c)
+                axpy(vec_p, out_p[mu], c)
+            vec_m = {mu: c for mu, c in vec_m.items() if c}
+            vec_p = {mu: c for mu, c in vec_p.items() if c}
             for mu in vec_m:
-                assert dominates(lam, mu), (
-                    "Macdonald expansion of %r touches %r, outside the lower order ideal"
-                    % (tuple(lam), tuple(mu))
-                )
+                if not dominates(lam, mu):
+                    raise SingularTransition(
+                        "Macdonald expansion of %r touches %r, outside the lower order ideal"
+                        % (tuple(lam), tuple(mu))
+                    )
             out_m[lam] = vec_m
             out_p[lam] = vec_p
-            norms[lam] = _p_dot(vec_p, vec_p, field)
-            done.append(lam)
-        return out_m, out_p
+            norms[lam] = _p_pairing(vec_p, vec_p, field)
+        return out_m
 
     return _memo(("macdonald", degree, field), build)
 
 
-def _p_dot(a, b, field):
-    total = field.zero
-    if len(a) > len(b):
-        a, b = b, a
-    for lam, c in a.items():
-        d = b.get(lam)
-        if d:
-            total = total + c * d * symfun._ip_factor(lam, field)
-    return total
-
-
-def _sub_scaled(target, source, c, field):
-    for k, v in source.items():
-        s = target.get(k, field.zero) - c * v
-        if s:
-            target[k] = s
-        else:
-            target.pop(k, None)
-
-
 def macdonald_in_m(lam, field=SYMBOLIC):
     lam = Partition(lam)
-    return _macdonald_degree(sum(lam), field)[0][lam]
-
-
-def macdonald_in_p(lam, field=SYMBOLIC):
-    lam = Partition(lam)
-    return _macdonald_degree(sum(lam), field)[1][lam]
+    return _macdonald_degree(sum(lam), field)[lam]
 
 
 def macdonald_M(lam, degree_bound=None, field=SYMBOLIC):
@@ -257,14 +226,11 @@ def green_table(degree, field=SYMBOLIC):
         p_to_m = symfun._p_to_m_degree(degree, field)
         entries = {}
         for lam in lams:
-            row = _express_in_basis(dict(p_to_m[lam]), expansions, order, field)
+            row = _express_in_basis(p_to_m[lam], expansions, order)
             for mu in lams:
                 c = row.get(mu, field.zero)
                 if field.is_symbolic:
-                    assert c.den == 1 and c.num.max_deg_q() == 0, (
-                        "Green coefficient X[%r,%r] is not in Z[t]: %s"
-                        % (tuple(lam), tuple(mu), c)
-                    )
+                    _require_z_t(c, "Green coefficient X[%r,%r]" % (tuple(lam), tuple(mu)))
                 entries[(lam, mu)] = c
         return GreenTable(degree=degree, entries=entries)
 

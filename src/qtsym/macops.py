@@ -11,13 +11,24 @@ from itertools import combinations, permutations
 
 from .partitions import (
     Partition,
+    append_one,
     box_added_index,
     conjugate,
     enumerate_partitions,
 )
 from .ratfun import SYMBOLIC
 from . import families, symfun
-from .symfun import NSymPoly, SymFun, XPoly, adjoint_apply, convert, divide_by_vandermonde, expand_x, p_multiply
+from .symfun import (
+    NotDivisible,
+    NSymPoly,
+    SymFun,
+    XPoly,
+    adjoint_apply,
+    convert,
+    divide_by_vandermonde,
+    expand_x,
+    p_multiply,
+)
 
 
 class NotOneBoxUp(ValueError):
@@ -29,10 +40,6 @@ class NotOneBoxDown(ValueError):
 
 
 class InvalidStep(ValueError):
-    pass
-
-
-class SingularSampleSystem(ArithmeticError):
     pass
 
 
@@ -132,18 +139,10 @@ def apply_DN(f, N=None):
                 e = tuple(N - 1 - sigma[i] for i in range(N))
                 tdeg = -sum(sigma[i] for i in subset)
                 coeff = field.from_int(sign) * field.t ** tdeg if tdeg else field.from_int(sign)
-                s = h_terms.get(e, field.zero) + coeff
-                if s:
-                    h_terms[e] = s
-                else:
-                    del h_terms[e]
+                h_terms[e] = h_terms.get(e, field.zero) + coeff
             h = XPoly(N, h_terms, field)
             sums[size] = sums[size] + h * xp.q_shift(subset)
-    out = []
-    for size in range(N + 1):
-        g = sums[size] if size % 2 == 0 else sums[size].scale(-field.one)
-        out.append(divide_by_vandermonde(g))
-    return out
+    return [divide_by_vandermonde(g if size % 2 == 0 else -g) for size, g in enumerate(sums)]
 
 
 def _pochhammer_tail_upoly(k, N, field):
@@ -154,32 +153,38 @@ def _pochhammer_tail_upoly(k, N, field):
     return out
 
 
+def _partial_fractions(num, N, field):
+    """Exact e_0..e_N with num(u) / (u;1/t)_N = sum_k e_k / (u;1/t)_k.
+
+    num is a u-coefficient list.  Multiplied out, the identity reads
+    sum_k e_k prod_{j=k}^{N-1} (1 - u t^-j) = num(u); step k reads e_k off
+    the coefficient of u^(N-k), the top one still left.
+    """
+    residual = list(num) + [field.zero] * (N + 1 - len(num))
+    out = []
+    for k in range(N + 1):
+        tail = _pochhammer_tail_upoly(k, N, field)
+        e = residual[N - k] / tail[-1]
+        out.append(e)
+        for j, c in enumerate(tail):
+            residual[j] = residual[j] - e * c
+    if any(residual):
+        raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
+    return out
+
+
 def apply_AN(f, N=None):
     """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand."""
     N = f.N if N is None else N
     field = f.field
     coeffs = apply_DN(f, N)
-    scaled = []
-    for c in coeffs:
-        out = {}
-        for mu, v in c.coeffs.items():
-            d = sum(mu)
-            out[mu] = v * field.q ** (-d) if d else v
-        scaled.append(NSymPoly(N, out, field))
-    # exact partial fractions: solve sum_k g_k * prod_{j>=k}(1 - u t^-j) = D
-    residual = list(scaled)
-    entries = []
-    for k in range(N + 1):
-        tail = _pochhammer_tail_upoly(k, N, field)
-        lead = tail[-1]
-        g = residual[N - k].scale(field.one / lead)
-        entries.append(g)
-        for j, c in enumerate(tail):
-            if c:
-                residual[j] = residual[j] - g.scale(c)
-    for r in residual:
-        assert r.is_zero(), "partial fraction residue did not vanish"
-    return UFamily(entries)
+    entries = [{} for _ in range(N + 1)]
+    for mu in {mu for c in coeffs for mu in c.coeffs}:
+        shift = field.q ** (-sum(mu))
+        ups = [c.coeffs.get(mu, field.zero) * shift for c in coeffs]
+        for k, e in enumerate(_partial_fractions(ups, N, field)):
+            entries[k][mu] = e
+    return UFamily(NSymPoly(N, e, field) for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -217,52 +222,14 @@ def A_eigen(lam, field=SYMBOLIC):
     return URat(num, den, field)
 
 
-def _solve_linear(rows, rhs, field):
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularSampleSystem("no pivot in column %d" % col)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.one / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def A_k_eigen(lam, field=SYMBOLIC, first_sample=2):
+def A_k_eigen(lam, field=SYMBOLIC):
     """Coefficients e_k(lam) with the eigenvalue equal to sum e_k/(u;1/t)_k.
 
-    Found by sampling u at distinct integers and solving the linear system
-    exactly; a singular sample set is retried at the next window.
+    The denominator of A_eigen(lam) is (u;1/t)_ell, so the e_k are the
+    exact partial fractions of its numerator.
     """
     lam = Partition(lam)
-    ell = len(lam)
-    eigen = A_eigen(lam, field)
-    start = first_sample
-    for _ in range(8):
-        samples = [field.from_int(u0) for u0 in range(start, start + ell + 1)]
-        try:
-            rows = []
-            rhs = []
-            for u0 in samples:
-                rows.append([field.one / pochhammer_u(u0, k, field) for k in range(ell + 1)])
-                rhs.append(eigen.at(u0))
-            values = _solve_linear(rows, rhs, field)
-        except SingularSampleSystem:
-            start += 1
-            continue
-        assert values[0] == field.one, "leading coefficient of the eigenvalue is not 1"
-        return UFamily(values)
-    raise SingularSampleSystem("no usable sample window found")
+    return UFamily(_partial_fractions(A_eigen(lam, field).num, len(lam), field))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +285,7 @@ def step_series_apply(kind, k, f, degree_bound=None):
     top = fp.max_degree() if kind == "B" else fp.max_degree() - 1
     for w in range(k, top + 1):
         for mu in enumerate_partitions(w, exact_length=k):
-            mu1 = Partition(sorted(tuple(mu) + (1,), reverse=True))
+            mu1 = append_one(mu)
             if kind == "B":
                 adj = adjoint_apply(_hl_sym(mu, "P", bound, field), fp)
                 if adj.is_zero():
@@ -369,13 +336,16 @@ def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
+    return open_slot_factor(lam, i, field) * _bc_scalar(kind, lam, mu, field)
+
+
+def _bc_scalar(kind, lam, mu, field):
+    # the u-free factor of a matrix element: Pieri coefficient times (1-t) or (1-q)
     if kind == "B":
-        scalar = pieri_up_coeff(lam, mu, field) * (field.one - field.t)
-    elif kind == "C":
-        scalar = pieri_down_coeff(mu, lam, field) * (field.one - field.q)
-    else:
-        raise ValueError("kind must be B or C")
-    return open_slot_factor(lam, i, field) * scalar
+        return pieri_up_coeff(lam, mu, field) * (field.one - field.t)
+    if kind == "C":
+        return pieri_down_coeff(mu, lam, field) * (field.one - field.q)
+    raise ValueError("kind must be B or C")
 
 
 @dataclass
@@ -409,10 +379,7 @@ def step_evaluate(kind, lam, i, field=SYMBOLIC):
     li = lam[i - 1]
     u0 = field.q ** (-li) * field.t ** (i - 1)
     coeff = bc_matrix_coeff(kind, lam, mu, field).at(u0)
-    if kind == "B":
-        scalar = pieri_up_coeff(lam, mu, field) * (field.one - field.t)
-    else:
-        scalar = pieri_down_coeff(mu, lam, field) * (field.one - field.q)
+    scalar = _bc_scalar(kind, lam, mu, field)
     closed = field.t ** (1 - i)
     for j in range(1, len(lam) + 1):
         closed = closed / (field.q ** li - field.t ** (i - j))

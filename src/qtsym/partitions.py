@@ -213,6 +213,12 @@ def append_one(p):
     return Partition(tuple(p) + (1,))
 
 
+def union(lam, mu):
+    """The partition with the parts of both, so that p_lam p_mu = p_(lam u mu)."""
+    # parts of two partitions are already valid; skip re-validation
+    return tuple.__new__(Partition, sorted(lam + mu, reverse=True))
+
+
 def horizontal_strip(lam, mu):
     """True when lam/mu is a horizontal strip: lam1 >= mu1 >= lam2 >= mu2 >= ..."""
     lam, mu = tuple(lam), tuple(mu)

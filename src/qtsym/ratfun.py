@@ -23,6 +23,10 @@ class PoleAtSpecialization(ZeroDivisionError):
     pass
 
 
+class InexactDivision(ArithmeticError):
+    pass
+
+
 class ParseError(ValueError):
     def __init__(self, message, position):
         super().__init__("%s (at position %d)" % (message, position))
@@ -37,15 +41,6 @@ def _ut(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _u_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] += x
-    return _ut(out)
 
 
 def _u_sub(a, b):
@@ -81,29 +76,8 @@ def _u_content(a):
     return g
 
 
-def _u_divexact_int(a, c):
+def _u_intdiv(a, c):
     return tuple(x // c for x in a)
-
-
-def _u_divexact(f, g):
-    # exact division in Z[t]; the caller guarantees divisibility
-    if not f:
-        return ()
-    rem = list(f)
-    lead = g[-1]
-    dg = len(g) - 1
-    out = [0] * (len(f) - len(g) + 1)
-    for k in range(len(f) - len(g), -1, -1):
-        c = rem[k + dg]
-        if c == 0:
-            continue
-        assert c % lead == 0, "inexact univariate division"
-        c //= lead
-        out[k] = c
-        for j, y in enumerate(g):
-            rem[k + j] -= c * y
-    assert not any(rem), "inexact univariate division"
-    return _ut(out)
 
 
 def _u_prem(f, g):
@@ -143,6 +117,13 @@ def _u_trial_div(f, g):
     return _ut(out)
 
 
+def _exact(quotient):
+    # a trial quotient that the caller needs to be exact
+    if quotient is None:
+        raise InexactDivision("the divisor does not divide the dividend")
+    return quotient
+
+
 def _u_eval_int(f, xi):
     total = 0
     for c in reversed(f):
@@ -168,7 +149,7 @@ def _u_gcd_prs(f, g):
     while g:
         r = _u_prem(f, g)
         if r:
-            r = _u_divexact_int(r, _u_content(r))
+            r = _u_intdiv(r, _u_content(r))
         f, g = g, r
     return f
 
@@ -184,8 +165,8 @@ def _u_gcd(f, g):
         return _u_smul(f, -1) if f[-1] < 0 else f
     cf, cg = _u_content(f), _u_content(g)
     c = math.gcd(cf, cg)
-    f = _u_divexact_int(f, cf)
-    g = _u_divexact_int(g, cg)
+    f = _u_intdiv(f, cf)
+    g = _u_intdiv(g, cg)
     h = None
     # evaluate / reconstruct / verify, falling back to a remainder sequence
     xi = _heu_start_point(min(max(abs(x) for x in f), max(abs(x) for x in g)))
@@ -193,7 +174,7 @@ def _u_gcd(f, g):
         fv, gv = _u_eval_int(f, xi), _u_eval_int(g, xi)
         if fv and gv:
             cand = _digits_balanced(math.gcd(fv, gv), xi)
-            cand = _u_divexact_int(cand, _u_content(cand))
+            cand = _u_intdiv(cand, _u_content(cand))
             if _u_trial_div(f, cand) is not None and _u_trial_div(g, cand) is not None:
                 h = cand
                 break
@@ -232,7 +213,7 @@ def _b_smul(f, c):
 
 
 def _b_divground(f, c):
-    return tuple(_u_divexact(a, c) if a else () for a in f)
+    return tuple(_exact(_u_trial_div(a, c)) if a else () for a in f)
 
 
 def _b_prem(f, g):
@@ -317,26 +298,6 @@ def _b_gcd(f, g):
     if h is None:
         h = _b_gcd_prs(f, g)
     return _b_smul(h, c)
-
-
-def _b_divexact(f, g):
-    # exact division in Z[t][q]; the caller guarantees divisibility
-    if not f:
-        return ()
-    rem = [a for a in f]
-    lead = g[-1]
-    dg = len(g) - 1
-    out = [()] * (len(f) - len(g) + 1)
-    for k in range(len(f) - len(g), -1, -1):
-        c = rem[k + dg]
-        if not c:
-            continue
-        c = _u_divexact(c, lead)
-        out[k] = c
-        for j, a in enumerate(g):
-            rem[k + j] = _u_sub(rem[k + j], _u_mul(c, a))
-    assert not any(rem), "inexact bivariate division"
-    return _bt(out)
 
 
 def _to_rec(terms):
@@ -569,17 +530,18 @@ def _gcd_core(a, b):
 
 
 def poly_divexact(a, b):
-    """Exact quotient a/b in Z[q,t]; b must divide a."""
+    """Exact quotient a/b in Z[q,t]; raises InexactDivision unless b divides a."""
     if not a:
         return P_ZERO
     if len(b.terms) == 1:
         (dq, dt), c = next(iter(b.terms.items()))
         out = {}
         for (ea, eb), ca in a.terms.items():
-            assert ca % c == 0 and ea >= dq and eb >= dt, "inexact division"
+            if ca % c or ea < dq or eb < dt:
+                raise InexactDivision("the monomial divisor does not divide the dividend")
             out[(ea - dq, eb - dt)] = ca // c
         return IntPoly2(out)
-    return IntPoly2(_from_rec(_b_divexact(_to_rec(a.terms), _to_rec(b.terms))))
+    return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
 class RatFun:

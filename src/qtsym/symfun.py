@@ -20,6 +20,7 @@ from .partitions import (
     grevlex_key,
     multiplicities,
     stats,
+    union,
 )
 from .ratfun import SYMBOLIC, parse_ratfun
 
@@ -66,7 +67,55 @@ def clear_caches():
     _CACHE.clear()
 
 
-class SymFun:
+def axpy(target, source, c):
+    """target += c * source on coefficient dicts; the caller drops zeros."""
+    for k, v in source.items():
+        target[k] = target[k] + c * v if k in target else c * v
+
+
+class _Sparse:
+    """Arithmetic shared by the sparse containers.
+
+    `coeffs` maps keys to nonzero scalars: the constructors drop zeros, so
+    the arithmetic here only accumulates.  A subclass supplies `_new`, the
+    same kind of container over other coefficients (a sum keeps the larger
+    degree bound), and `_space`, what equal containers share besides their
+    coefficients.
+    """
+
+    __slots__ = ()
+
+    def _space(self):
+        return None
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._space() == other._space() and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        out = dict(self.coeffs)
+        zero = self.field.zero
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, zero) + c
+        return self._new(out, other)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.coeffs.items()})
+
+    def scale(self, c):
+        if not c:
+            return self._new({})
+        return self._new({k: v * c for k, v in self.coeffs.items()})
+
+
+class SymFun(_Sparse):
     """Basis-tagged sparse expansion of a symmetric function."""
 
     __slots__ = ("basis", "coeffs", "degree_bound", "field")
@@ -86,6 +135,16 @@ class SymFun:
         self.degree_bound = degree_bound
         self.field = field
 
+    def _new(self, coeffs, other=None):
+        bound = self.degree_bound
+        if other is not None:
+            self._check_compatible(other)
+            bound = max(bound, other.degree_bound)
+        return SymFun(self.basis, coeffs, bound, self.field)
+
+    def _space(self):
+        return self.basis
+
     @classmethod
     def zero(cls, basis, degree_bound, field=SYMBOLIC):
         return cls(basis, {}, degree_bound, field)
@@ -96,9 +155,6 @@ class SymFun:
         bound = sum(lam) if degree_bound is None else degree_bound
         return cls(basis, {lam: field.one}, bound, field)
 
-    def is_zero(self):
-        return not self.coeffs
-
     def max_degree(self):
         return max((sum(k) for k in self.coeffs), default=0)
 
@@ -106,35 +162,8 @@ class SymFun:
         for k in sorted(self.coeffs, key=grevlex_key):
             yield k, self.coeffs[k]
 
-    def __eq__(self, other):
-        if not isinstance(other, SymFun):
-            return NotImplemented
-        return self.basis == other.basis and self.coeffs == other.coeffs
-
     def __hash__(self):
         return hash((self.basis, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, self.field.zero) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SymFun(self.basis, out, max(self.degree_bound, other.degree_bound), self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return SymFun(self.basis, {k: -c for k, c in self.coeffs.items()}, self.degree_bound, self.field)
-
-    def scale(self, c):
-        if not c:
-            return SymFun.zero(self.basis, self.degree_bound, self.field)
-        return SymFun(self.basis, {k: v * c for k, v in self.coeffs.items()}, self.degree_bound, self.field)
 
     def truncate(self, degree_bound):
         out = {k: c for k, c in self.coeffs.items() if sum(k) <= degree_bound}
@@ -156,20 +185,16 @@ def p_multiply(f, g, degree_bound=None):
     if f.basis != "p" or g.basis != "p":
         raise BasisMismatch("p_multiply needs both factors in the p basis")
     bound = degree_bound if degree_bound is not None else f.degree_bound + g.degree_bound
-    field = f.field
+    zero = f.field.zero
     out = {}
     for ka, ca in f.coeffs.items():
         wa = sum(ka)
         for kb, cb in g.coeffs.items():
             if wa + sum(kb) > bound:
                 continue
-            k = Partition(sorted(ka + kb, reverse=True))
-            s = out.get(k, field.zero) + ca * cb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return SymFun("p", out, bound, field)
+            k = union(ka, kb)
+            out[k] = out.get(k, zero) + ca * cb
+    return SymFun("p", out, bound, f.field)
 
 
 def multiply(f, g, degree_bound=None):
@@ -198,7 +223,7 @@ def _p_to_m_degree(degree, field):
     return _memo(("p_to_m", degree, field), build)
 
 
-def _express_in_basis(vec, expansions, order, field):
+def _express_in_basis(vec, expansions, order):
     """Solve vec = sum_i out[i] * expansions[i] by triangular elimination."""
     work = dict(vec)
     out = {}
@@ -209,13 +234,8 @@ def _express_in_basis(vec, expansions, order, field):
         exp = expansions[lam]
         coeff = c / exp[lam]
         out[lam] = coeff
-        for mu, cc in exp.items():
-            s = work.get(mu, field.zero) - coeff * cc
-            if s:
-                work[mu] = s
-            else:
-                work.pop(mu, None)
-    if any(c for c in work.values()):
+        axpy(work, exp, -coeff)
+    if any(work.values()):
         raise SingularTransition("triangular solve left a nonzero residue")
     return out
 
@@ -225,10 +245,10 @@ def _basis_in_m(tag, lam, field):
         return {lam: field.one}
     if tag == "p":
         return _p_to_m_degree(sum(lam), field)[lam]
+    if tag == "s":
+        return schur_in_m(lam, field)
     from . import families
 
-    if tag == "s":
-        return families.schur_in_m(lam, field)
     if tag == "P":
         return families.hl_in_m(lam, field)
     if tag == "Q":
@@ -252,7 +272,7 @@ def _m_to_basis_degree(tag, degree, field):
             order = list(reversed(order))
         out = {}
         for lam in lams:
-            out[lam] = _express_in_basis({lam: field.one}, expansions, order, field)
+            out[lam] = _express_in_basis({lam: field.one}, expansions, order)
         return out
 
     return _memo(("m_to", tag, degree, field), build)
@@ -277,13 +297,8 @@ def transition_matrix(frm, to, degree, field=SYMBOLIC):
                 m_to = _m_to_basis_degree(to, degree, field)
                 col = {}
                 for mu, c in _basis_in_m(frm, lam, field).items():
-                    for nu, d in m_to[mu].items():
-                        s = col.get(nu, field.zero) + c * d
-                        if s:
-                            col[nu] = s
-                        else:
-                            del col[nu]
-                out[lam] = col
+                    axpy(col, m_to[mu], c)
+                out[lam] = {nu: c for nu, c in col.items() if c}
         _store_cached_matrix(frm, to, degree, field, out)
         return out
 
@@ -343,12 +358,7 @@ def convert(f, to):
     for degree, coeffs in by_degree.items():
         matrix = transition_matrix(f.basis, to, degree, field)
         for lam, c in coeffs.items():
-            for mu, d in matrix[lam].items():
-                s = out.get(mu, field.zero) + c * d
-                if s:
-                    out[mu] = s
-                else:
-                    del out[mu]
+            axpy(out, matrix[lam], c)
     return SymFun(to, out, f.degree_bound, field)
 
 
@@ -367,11 +377,13 @@ def _ip_factor(lam, field):
 
 def inner_product(f, g):
     """<p_lam, p_mu> = delta z_lam prod (1-q^li)/(1-t^li), extended bilinearly."""
-    fp = convert(f, "p")
-    gp = convert(g, "p")
-    field = f.field
+    return _p_pairing(convert(f, "p").coeffs, convert(g, "p").coeffs, f.field)
+
+
+def _p_pairing(a, b, field):
+    # the inner product of two p-basis coefficient dicts
     total = field.zero
-    small, large = (fp.coeffs, gp.coeffs) if len(fp.coeffs) <= len(gp.coeffs) else (gp.coeffs, fp.coeffs)
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
     for lam, c in small.items():
         d = large.get(lam)
         if d:
@@ -380,23 +392,16 @@ def inner_product(f, g):
 
 
 def _dpn(coeffs, n, field):
-    # derivative with respect to p_n on a p-basis coefficient dict
+    # derivative with respect to p_n on a p-basis coefficient dict; distinct
+    # keys lose one part n each and stay distinct
     out = {}
     for mu, c in coeffs.items():
-        k = 0
-        for part in mu:
-            if part == n:
-                k += 1
+        k = mu.count(n)
         if not k:
             continue
         removed = list(mu)
         removed.remove(n)
-        nu = Partition(removed)
-        s = out.get(nu, field.zero) + c * field.from_int(k)
-        if s:
-            out[nu] = s
-        else:
-            del out[nu]
+        out[Partition(removed)] = c * field.from_int(k)
     return out
 
 
@@ -414,12 +419,7 @@ def adjoint_apply(f, g):
             if not work:
                 break
             factor = factor * field.from_int(n) * (field.one - field.q ** n) / (field.one - field.t ** n)
-        for mu, c in work.items():
-            s = result.get(mu, field.zero) + factor * c
-            if s:
-                result[mu] = s
-            else:
-                del result[mu]
+        axpy(result, work, factor)
     return SymFun("p", result, g.degree_bound, field)
 
 
@@ -432,7 +432,7 @@ def dp1(g):
 # ---------------------------------------------------------------------------
 # finite alphabets
 
-class NSymPoly:
+class NSymPoly(_Sparse):
     """Symmetric polynomial in N variables, in the monomial basis."""
 
     __slots__ = ("N", "coeffs", "field")
@@ -449,35 +449,15 @@ class NSymPoly:
         self.coeffs = clean
         self.field = field
 
+    def _new(self, coeffs, other=None):
+        return NSymPoly(self.N, coeffs, self.field)
+
+    def _space(self):
+        return self.N
+
     @classmethod
     def zero(cls, N, field=SYMBOLIC):
         return cls(N, {}, field)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, NSymPoly):
-            return NotImplemented
-        return self.N == other.N and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, self.field.zero) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return NSymPoly(self.N, out, self.field)
-
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
-    def scale(self, c):
-        if not c:
-            return NSymPoly.zero(self.N, self.field)
-        return NSymPoly(self.N, {k: v * c for k, v in self.coeffs.items()}, self.field)
 
     def set_last_zero(self):
         out = {k: c for k, c in self.coeffs.items() if len(k) < self.N}
@@ -503,15 +483,21 @@ def restrict(f, N):
     return NSymPoly(N, out, f.field)
 
 
-class XPoly:
+class XPoly(_Sparse):
     """Plain multivariate polynomial in x_1..x_N, not necessarily symmetric."""
 
-    __slots__ = ("N", "terms", "field")
+    __slots__ = ("N", "coeffs", "field")
 
-    def __init__(self, N, terms, field=SYMBOLIC):
+    def __init__(self, N, coeffs, field=SYMBOLIC):
         self.N = N
-        self.terms = {e: c for e, c in terms.items() if c}
+        self.coeffs = {e: c for e, c in coeffs.items() if c}
         self.field = field
+
+    def _new(self, coeffs, other=None):
+        return XPoly(self.N, coeffs, self.field)
+
+    def _space(self):
+        return self.N
 
     @classmethod
     def zero(cls, N, field=SYMBOLIC):
@@ -521,52 +507,22 @@ class XPoly:
     def monomial(cls, N, exponents, coeff, field=SYMBOLIC):
         return cls(N, {tuple(exponents): coeff}, field)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, self.field.zero) + c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return XPoly(self.N, out, self.field)
-
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
     def __mul__(self, other):
         out = {}
         zero = self.field.zero
-        a, b = self.terms, other.terms
+        a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, zero) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+                out[e] = out.get(e, zero) + ca * cb
         return XPoly(self.N, out, self.field)
-
-    def scale(self, c):
-        if not c:
-            return XPoly.zero(self.N, self.field)
-        return XPoly(self.N, {e: v * c for e, v in self.terms.items()}, self.field)
 
     def permute(self, perm):
         """Relabel variables: new exponent of slot perm[i] is the old one of slot i."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             ne = [0] * self.N
             for i, x in enumerate(e):
                 ne[perm[i]] = x
@@ -577,16 +533,16 @@ class XPoly:
         """Scale x_i -> q x_i for the 0-based variable indices in `subset`."""
         q = self.field.q
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self.coeffs.items():
             d = sum(e[i] for i in subset)
             out[e] = c * q ** d if d else c
         return XPoly(self.N, out, self.field)
 
     def total_degree_cap(self, cap):
-        return XPoly(self.N, {e: c for e, c in self.terms.items() if sum(e) <= cap}, self.field)
+        return XPoly(self.N, {e: c for e, c in self.coeffs.items() if sum(e) <= cap}, self.field)
 
     def __repr__(self):
-        return "XPoly(N=%d, %d terms)" % (self.N, len(self.terms))
+        return "XPoly(N=%d, %d terms)" % (self.N, len(self.coeffs))
 
 
 def xpoly_one(N, field=SYMBOLIC):
@@ -632,7 +588,7 @@ def expand_x(p):
 def collect_symmetric(xp):
     """Collect a symmetric expansion back into the monomial basis."""
     groups = {}
-    for e, c in xp.terms.items():
+    for e, c in xp.coeffs.items():
         pattern = tuple(sorted(e, reverse=True))
         groups.setdefault(pattern, []).append((e, c))
     out = {}
@@ -643,7 +599,7 @@ def collect_symmetric(xp):
             expected //= math.factorial(k)
         if len(entries) != expected or any(c != c0 for _, c in entries[1:]):
             for e in _distinct_permutations(list(pattern)):
-                c = xp.terms.get(e, xp.field.zero)
+                c = xp.coeffs.get(e, xp.field.zero)
                 if c != c0:
                     raise NotSymmetric(
                         "coefficients differ on one exponent orbit",
@@ -672,21 +628,17 @@ def antisymmetrize_to_schur(xp):
     """
     N = xp.N
     delta = tuple(range(N - 1, -1, -1))
-    field = xp.field
+    zero = xp.field.zero
     acc = {}
-    for e, c in xp.terms.items():
+    for e, c in xp.coeffs.items():
         if len(set(e)) < N:
             continue
         pattern = tuple(sorted(e, reverse=True))
         if _descending_sign(e) < 0:
             c = -c
         nu = Partition(x for x in (pattern[i] - delta[i] for i in range(N)) if x)
-        s = acc.get(nu, field.zero) + c
-        if s:
-            acc[nu] = s
-        else:
-            del acc[nu]
-    return acc
+        acc[nu] = acc.get(nu, zero) + c
+    return {nu: c for nu, c in acc.items() if c}
 
 
 def divide_by_vandermonde(xp):
@@ -694,7 +646,7 @@ def divide_by_vandermonde(xp):
     N = xp.N
     field = xp.field
     groups = {}
-    for e, c in xp.terms.items():
+    for e, c in xp.coeffs.items():
         if len(set(e)) < N:
             raise NotAlternating("term with a repeated exponent", witness=e)
         pattern = tuple(sorted(e, reverse=True))
@@ -714,12 +666,7 @@ def divide_by_vandermonde(xp):
         out[nu] = canonical
     result = {}
     for nu, c in out.items():
-        for mu, d in schur_in_m_limited(nu, N, field).items():
-            s = result.get(mu, field.zero) + c * d
-            if s:
-                result[mu] = s
-            else:
-                del result[mu]
+        axpy(result, schur_in_m_limited(nu, N, field), c)
     return NSymPoly(N, result, field)
 
 
@@ -741,36 +688,19 @@ def schur_in_p(nu, field=SYMBOLIC):
 
     def build():
         ell = len(nu)
-        if ell == 0:
-            return {Partition(): field.one}
+        degree = sum(nu)
         rows = [[nu[i] - i + j for j in range(ell)] for i in range(ell)]
-        acc = {}
+        acc = SymFun.zero("p", degree, field)
         for sigma in permutations(range(ell)):
             degrees = [rows[i][sigma[i]] for i in range(ell)]
             if any(d < 0 for d in degrees):
                 continue
-            sign = _perm_sign(sigma)
-            prod = {Partition(): field.one}
+            prod = SymFun.generator("p", (), degree, field)
             for d in degrees:
-                if d == 0:
-                    continue
-                nxt = {}
-                for ka, ca in prod.items():
-                    for kb, cb in _h_in_p(d, field).items():
-                        k = Partition(sorted(ka + kb, reverse=True))
-                        s = nxt.get(k, field.zero) + ca * cb
-                        if s:
-                            nxt[k] = s
-                        else:
-                            del nxt[k]
-                prod = nxt
-            for k, c in prod.items():
-                s = acc.get(k, field.zero) + (c if sign > 0 else -c)
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
-        return acc
+                if d:
+                    prod = p_multiply(prod, SymFun("p", _h_in_p(d, field), d, field), degree)
+            acc = acc + prod if _perm_sign(sigma) > 0 else acc - prod
+        return acc.coeffs
 
     return _memo(("s_p", Partition(nu), field), build)
 
@@ -799,13 +729,8 @@ def schur_in_m(nu, field=SYMBOLIC):
         p_to_m = _p_to_m_degree(degree, field)
         out = {}
         for lam, c in schur_in_p(nu_p, field).items():
-            for mu, d in p_to_m[lam].items():
-                s = out.get(mu, field.zero) + c * d
-                if s:
-                    out[mu] = s
-                else:
-                    del out[mu]
-        return out
+            axpy(out, p_to_m[lam], c)
+        return {mu: c for mu, c in out.items() if c}
 
     return _memo(("s_m", Partition(nu), field), build)
 
@@ -818,7 +743,7 @@ def schur_in_m_limited(nu, N, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 # two-alphabet expansions in the p (x) p basis
 
-class BiSymFun:
+class BiSymFun(_Sparse):
     """Sparse expansion over pairs of power-sum keys: sum c * p_lam(x) p_mu(y)."""
 
     __slots__ = ("coeffs", "degree_bound", "field")
@@ -835,32 +760,13 @@ class BiSymFun:
         self.degree_bound = degree_bound
         self.field = field
 
+    def _new(self, coeffs, other=None):
+        bound = self.degree_bound if other is None else max(self.degree_bound, other.degree_bound)
+        return BiSymFun(coeffs, bound, self.field)
+
     @classmethod
     def one(cls, degree_bound, field=SYMBOLIC):
         return cls({(Partition(), Partition()): field.one}, degree_bound, field)
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSymFun):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, self.field.zero) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        return BiSymFun(out, max(self.degree_bound, other.degree_bound), self.field)
-
-    def __sub__(self, other):
-        return self + other.scale(-self.field.one)
-
-    def scale(self, c):
-        if not c:
-            return BiSymFun({}, self.degree_bound, self.field)
-        return BiSymFun({k: v * c for k, v in self.coeffs.items()}, self.degree_bound, self.field)
 
     def __mul__(self, other):
         bound = min(self.degree_bound, other.degree_bound)
@@ -870,12 +776,8 @@ class BiSymFun:
             for (xb, yb), cb in other.coeffs.items():
                 if sum(xa) + sum(xb) > bound or sum(ya) + sum(yb) > bound:
                     continue
-                key = (Partition(sorted(xa + xb, reverse=True)), Partition(sorted(ya + yb, reverse=True)))
-                s = out.get(key, zero) + ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                key = (union(xa, xb), union(ya, yb))
+                out[key] = out.get(key, zero) + ca * cb
         return BiSymFun(out, bound, self.field)
 
     def component(self, xdeg, ydeg):
@@ -884,44 +786,16 @@ class BiSymFun:
 
     def adjoint_x(self, f):
         """Apply f* (adjoint of multiplication by f) on the x slot."""
-        field = self.field
         fp = convert(f, "p")
-        result = {}
-        for lam, a in fp.coeffs.items():
-            factor = a
-            for n in lam:
-                factor = factor * field.from_int(n) * (field.one - field.q ** n) / (field.one - field.t ** n)
-            for (xk, yk), c in self.coeffs.items():
-                work = {xk: c}
-                for n in lam:
-                    work = _dpn(work, n, field)
-                    if not work:
-                        break
-                for nk, cc in work.items():
-                    key = (nk, yk)
-                    s = result.get(key, field.zero) + factor * cc
-                    if s:
-                        result[key] = s
-                    else:
-                        del result[key]
-        return BiSymFun(result, self.degree_bound, self.field)
-
-    def mul_y(self, f):
-        """Multiply by f placed in the y slot."""
-        field = self.field
-        fp = convert(f, "p")
-        out = {}
+        by_y = {}
         for (xk, yk), c in self.coeffs.items():
-            for lam, a in fp.coeffs.items():
-                if sum(yk) + sum(lam) > self.degree_bound:
-                    continue
-                key = (xk, Partition(sorted(yk + lam, reverse=True)))
-                s = out.get(key, field.zero) + c * a
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return BiSymFun(out, self.degree_bound, self.field)
+            by_y.setdefault(yk, {})[xk] = c
+        result = {}
+        for yk, xs in by_y.items():
+            image = adjoint_apply(fp, SymFun("p", xs, self.degree_bound, self.field))
+            for xk, c in image.coeffs.items():
+                result[(xk, yk)] = c
+        return BiSymFun(result, self.degree_bound, self.field)
 
     def series_inverse(self):
         """Inverse of a series with constant term 1, degree by degree.
@@ -929,41 +803,22 @@ class BiSymFun:
         Degrees are graded by the x-weight of the keys; valid for the
         kernels used here, whose components are x/y-bihomogeneous.
         """
-        field = self.field
-        empty = (Partition(), Partition())
-        if self.coeffs.get(empty) != field.one:
+        bound = self.degree_bound
+        one = BiSymFun.one(bound, self.field)
+        if self.coeffs.get((Partition(), Partition())) != self.field.one:
             raise NotDivisible("series inverse needs constant term 1")
         by_deg = {}
         for key, c in self.coeffs.items():
             by_deg.setdefault(sum(key[0]), {})[key] = c
-        inv = {0: {empty: field.one}}
-        for d in range(1, self.degree_bound + 1):
-            comp = {}
+        by_deg = {e: BiSymFun(part, bound, self.field) for e, part in by_deg.items()}
+        inv = [one]
+        for d in range(1, bound + 1):
+            comp = BiSymFun({}, bound, self.field)
             for e in range(1, d + 1):
-                pe = by_deg.get(e)
-                if not pe:
-                    continue
-                ie = inv.get(d - e)
-                if not ie:
-                    continue
-                for (xa, ya), ca in pe.items():
-                    for (xb, yb), cb in ie.items():
-                        if sum(ya) + sum(yb) > self.degree_bound:
-                            continue
-                        key = (
-                            Partition(sorted(xa + xb, reverse=True)),
-                            Partition(sorted(ya + yb, reverse=True)),
-                        )
-                        s = comp.get(key, field.zero) + ca * cb
-                        if s:
-                            comp[key] = s
-                        else:
-                            del comp[key]
-            inv[d] = {k: -c for k, c in comp.items()}
-        out = {}
-        for comp in inv.values():
-            out.update(comp)
-        return BiSymFun(out, self.degree_bound, self.field)
+                if e in by_deg:
+                    comp = comp + by_deg[e] * inv[d - e]
+            inv.append(-comp)
+        return sum(inv[1:], one)
 
     def __repr__(self):
         return "BiSymFun(%d terms, bound=%d)" % (len(self.coeffs), self.degree_bound)

@@ -40,6 +40,7 @@ from .partitions import (
     remove_box_positions,
     stats,
     t_factors,
+    union,
 )
 from .ratfun import SYMBOLIC
 from .symfun import (
@@ -52,6 +53,10 @@ from .symfun import (
     expand_x,
     restrict,
 )
+
+
+class DecompositionMismatch(ArithmeticError):
+    pass
 
 
 @dataclass
@@ -73,6 +78,14 @@ class CheckReport:
             "witness": self.witness,
             "elapsed": round(self.elapsed, 6),
         }
+
+
+def _first_difference(a, b):
+    # the first key, in sorted order, whose coefficients differ
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            return key
+    return None
 
 
 def _finish(name, params, t0, ok, witness=None):
@@ -136,14 +149,11 @@ def check_kernel_lemma(f, degree_bound, label=None, field=SYMBOLIC):
     fp = convert(f, "p")
     empty = Partition()
     expected = BiSymFun({(empty, mu): c for mu, c in fp.coeffs.items()}, degree_bound + k, field)
-    ok = quotient == expected
-    witness = None
-    if not ok:
-        for key in sorted(set(quotient.coeffs) | set(expected.coeffs)):
-            if quotient.coeffs.get(key) != expected.coeffs.get(key):
-                witness = "first mismatch at p%s (x) p%s" % (tuple(key[0]), tuple(key[1]))
-                break
-    return _finish("kernel_lemma", params, t0, ok, witness)
+    key = _first_difference(quotient.coeffs, expected.coeffs)
+    if key is None:
+        return _finish("kernel_lemma", params, t0, True)
+    return _finish("kernel_lemma", params, t0, False,
+                   "first mismatch at p%s (x) p%s" % (tuple(key[0]), tuple(key[1])))
 
 
 def check_hl_cauchy(degree, field=SYMBOLIC):
@@ -157,21 +167,12 @@ def check_hl_cauchy(degree, field=SYMBOLIC):
         pp = convert(hall_littlewood(lam, "P", field=field), "p")
         for a, ca in qp.coeffs.items():
             for b, cb in pp.coeffs.items():
-                key = (a, b)
-                s = coeffs.get(key, field.zero) + ca * cb
-                if s:
-                    coeffs[key] = s
-                else:
-                    del coeffs[key]
+                coeffs[(a, b)] = coeffs.get((a, b), field.zero) + ca * cb
     rhs = BiSymFun(coeffs, degree, field)
-    ok = lhs == rhs
-    witness = None
-    if not ok:
-        for key in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-            if lhs.coeffs.get(key) != rhs.coeffs.get(key):
-                witness = "p%s (x) p%s" % (tuple(key[0]), tuple(key[1]))
-                break
-    return _finish("hl_cauchy", params, t0, ok, witness)
+    key = _first_difference(lhs.coeffs, rhs.coeffs)
+    if key is None:
+        return _finish("hl_cauchy", params, t0, True)
+    return _finish("hl_cauchy", params, t0, False, "p%s (x) p%s" % (tuple(key[0]), tuple(key[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +347,7 @@ def _vandermonde_xpoly(N, field, skip=None):
 def _embed_skip(xp, N, skip):
     # relabel an (N-1)-variable polynomial onto the N slots avoiding `skip`
     out = {}
-    for e, c in xp.terms.items():
+    for e, c in xp.coeffs.items():
         ne = [0] * N
         j = 0
         for i in range(N):
@@ -367,7 +368,7 @@ def alternant_F(mu, n, N, field=SYMBOLIC):
     pad = list(mu) + [0] * (N - 1 - len(mu))
     seed = families.t_deformed_vandermonde(N - 1, field)
     shifted = {}
-    for e, c in seed.terms.items():
+    for e, c in seed.coeffs.items():
         key = tuple(e[i] + pad[i] for i in range(N - 1)) + (N - 1 + n,)
         shifted[key] = c
     base = XPoly(N, shifted, field)
@@ -375,7 +376,7 @@ def alternant_F(mu, n, N, field=SYMBOLIC):
     for sigma in permutations(range(N)):
         sign = symfun._perm_sign(sigma)
         img = base.permute(sigma)
-        total = total + (img if sign > 0 else img.scale(-field.one))
+        total = total + img if sign > 0 else total - img
     _validate_alternant_decomposition(mu, n, N, total, field)
     return total
 
@@ -386,7 +387,7 @@ def _validate_alternant_decomposition(mu, n, N, total, field):
     tf = t_factors(mu, N=N - 1, field=field)
     lhs = total.scale(tf.b / tf.v)
     if N % 2 == 0:
-        lhs = lhs.scale(-field.one)
+        lhs = -lhs
     rhs = XPoly.zero(N, field)
     q_small = hl_alternant(mu, N - 1, field)
     b_mu = t_factors(mu, field=field).b
@@ -396,8 +397,12 @@ def _validate_alternant_decomposition(mu, n, N, total, field):
         mono = [0] * N
         mono[i] = N - 1 + n
         piece = XPoly(N, {tuple(mono): field.one}, field) * delta * block
-        rhs = rhs + (piece if i % 2 == 0 else piece.scale(-field.one))
-    assert lhs == rhs, "slot decomposition of the alternant failed"
+        rhs = rhs + piece if i % 2 == 0 else rhs - piece
+    if lhs != rhs:
+        e = _first_difference(lhs.coeffs, rhs.coeffs)
+        raise DecompositionMismatch(
+            "slot decomposition of the alternant F(mu=%s, n=%d, N=%d) fails at monomial %s"
+            % (tuple(mu), n, N, e))
 
 
 def check_proposition(N, lam, field=SYMBOLIC):
@@ -408,47 +413,29 @@ def check_proposition(N, lam, field=SYMBOLIC):
     ell = len(lam)
     if not (0 < ell < N):
         raise ValueError("need 0 < len(lam) < N")
-    total = alternant_F(lam, 0, N, field).scale(field.one - field.t ** ell)
-    for mu in _interlacing_same_length(lam):
-        if mu == tuple(lam):
-            continue
-        phi = morris_phi(lam, mu, field)
-        if not phi:
-            continue
-        n = sum(lam) - sum(mu)
-        total = total + alternant_F(mu, n, N, field).scale(phi)
-    ok = total.is_zero()
-    witness = None
-    if not ok:
-        e = sorted(total.terms)[0]
-        witness = "monomial %s survives with %s" % (e, total.terms[e])
-    return _finish("proposition", params, t0, ok, witness)
+    try:
+        total = alternant_F(lam, 0, N, field).scale(field.one - field.t ** ell)
+        for mu in _interlacing(lam, 1):
+            if mu == tuple(lam):
+                continue
+            phi = morris_phi(lam, mu, field)
+            if not phi:
+                continue
+            n = sum(lam) - sum(mu)
+            total = total + alternant_F(mu, n, N, field).scale(phi)
+    except DecompositionMismatch as exc:
+        return _finish("proposition", params, t0, False, str(exc))
+    if total.is_zero():
+        return _finish("proposition", params, t0, True)
+    e = min(total.coeffs)
+    return _finish("proposition", params, t0, False, "monomial %s survives with %s" % (e, total.coeffs[e]))
 
 
-def _interlacing_same_length(lam):
+def _interlacing(lam, low):
+    """Partitions mu with lam_1 >= mu_1 >= lam_2 >= ... >= lam_ell >= mu_ell >= low."""
     lam = tuple(lam)
-    ell = len(lam)
-    ranges = []
-    for i in range(ell):
-        low = lam[i + 1] if i + 1 < ell else 1
-        ranges.append(range(low, lam[i] + 1))
-    out = []
-    for mu in product(*ranges):
-        out.append(Partition(mu))
-    return out
-
-
-def _interlacing_subpartitions(lam):
-    lam = tuple(lam)
-    ell = len(lam)
-    ranges = []
-    for i in range(ell):
-        low = lam[i + 1] if i + 1 < ell else 0
-        ranges.append(range(low, lam[i] + 1))
-    out = []
-    for mu in product(*ranges):
-        out.append(Partition(x for x in mu if x))
-    return out
+    ranges = [range(lam[i + 1] if i + 1 < len(lam) else low, lam[i] + 1) for i in range(len(lam))]
+    return [Partition(x for x in mu if x) for mu in product(*ranges)]
 
 
 def check_decomposition(lam, N, i, field=SYMBOLIC):
@@ -461,7 +448,7 @@ def check_decomposition(lam, N, i, field=SYMBOLIC):
     b_lam = t_factors(lam, field=field).b
     lhs = expand_x(hl_alternant(lam, N, field)).scale(b_lam)
     rhs = XPoly.zero(N, field)
-    for mu in _interlacing_subpartitions(lam):
+    for mu in _interlacing(lam, 0):
         if len(mu) >= N:
             continue
         phi = morris_phi(lam, mu, field)
@@ -487,7 +474,7 @@ def _ts_mul(a, b, field, xcap, ycap):
         for kb, xb in b.items():
             if wa + sum(kb) > ycap:
                 continue
-            key = Partition(sorted(tuple(ka) + tuple(kb), reverse=True))
+            key = union(ka, kb)
             prod = (xa * xb).total_degree_cap(xcap)
             if prod.is_zero():
                 continue
@@ -540,7 +527,7 @@ def check_finite_symbol(N, degree_bound, u_samples, field=SYMBOLIC):
                 factor = {alpha: (xmono * xp).total_degree_cap(xcap) for alpha, xp in factor.items()}
                 prod = _ts_mul(prod, factor, field, xcap, D)
             for alpha, xp in prod.items():
-                piece = xp if sign > 0 else xp.scale(-field.one)
+                piece = xp if sign > 0 else -xp
                 if alpha in det:
                     det[alpha] = det[alpha] + piece
                 else:
@@ -568,12 +555,10 @@ def check_finite_symbol(N, degree_bound, u_samples, field=SYMBOLIC):
                     else:
                         rhs[alpha] = piece
         rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
-        if lhs != rhs:
-            keys = sorted(set(lhs) | set(rhs))
-            for key in keys:
-                if lhs.get(key) != rhs.get(key):
-                    return _finish("finite_symbol", params, t0, False,
-                                   "u=%d, y-component p%s differs" % (u0, tuple(key)))
+        key = _first_difference(lhs, rhs)
+        if key is not None:
+            return _finish("finite_symbol", params, t0, False,
+                           "u=%d, y-component p%s differs" % (u0, tuple(key)))
     return _finish("finite_symbol", params, t0, True)
 
 

@@ -29,7 +29,6 @@ from qtsym.macops import (
     step_series_apply,
 )
 from qtsym.partitions import (
-    Partition,
     add_box_positions,
     dominates,
     enumerate_partitions,
@@ -132,34 +131,14 @@ def test_criterion_05_step_evaluations():
                 ratio = ev_b.coeff / ev_b.alt_coeff
                 assert ratio == F.q ** lam[i - 1], (lam, i)
                 assert ev_c.coeff / ev_c.alt_coeff == F.q ** lam[i - 1], (lam, i)
-                # the lowering family is exactly one step down at the point
+                # the lowering family is exactly one step down at the point;
+                # the raising side is certified term by term by
+                # test_criterion_05_raising_single_term_literal
                 got = step_family_at("C", convert(macdonald_M(lam), "p"), u0)
                 expected = convert(macdonald_M(mu), "p").scale(ev_c.coeff)
                 assert got == expected, (lam, i)
-                # the raising family reproduces the coefficient on M_lam
-                got_b = step_family_at("B", convert(macdonald_M(mu), "p"), u0)
-                assert _m_component(got_b, lam) == ev_b.coeff, (lam, i)
                 cases += 1
     _line(5, "step-evaluations", t0, note=" [%d cases]" % cases)
-
-
-def _m_component(f, lam):
-    from qtsym.families import macdonald_in_m
-
-    work = dict(convert(f, "m").coeffs)
-    out = {}
-    for nu in sorted(enumerate_partitions(sum(lam)), key=grevlex_key):
-        c = work.get(nu)
-        if c is None or not c:
-            continue
-        out[nu] = c
-        for k, v in macdonald_in_m(nu).items():
-            s = work.get(k, F.zero) - c * v
-            if s:
-                work[k] = s
-            else:
-                work.pop(k, None)
-    return out.get(Partition(lam), F.zero)
 
 
 def _assert_same(got, expected, lam, i, part):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qtsym.families import macdonald_M
@@ -24,7 +26,7 @@ from qtsym.partitions import (
     partitions_up_to,
     remove_box_positions,
 )
-from qtsym.ratfun import SYMBOLIC, parse_ratfun
+from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
 from qtsym.symfun import (
     NSymPoly,
     SymFun,
@@ -194,14 +196,16 @@ def test_A_k_eigen_small():
 
 
 def test_A_k_eigen_reconstructs_eigenvalue():
-    for lam in partitions_up_to(4):
-        fam = A_k_eigen(Partition(lam))
-        eig = A_eigen(Partition(lam))
-        for u0 in (rf("7"), rf("11")):
-            total = F.zero
-            for k, c in enumerate(fam.entries):
-                total = total + c / pochhammer_u(u0, k, F)
-            assert total == eig.at(u0), lam
+    # independent oracle: sum_k e_k / (u;1/t)_k against the closed product
+    for field in (F, random_point(random.Random(20260809))):
+        for lam in partitions_up_to(6):
+            fam = A_k_eigen(Partition(lam), field)
+            eig = A_eigen(Partition(lam), field)
+            for u0 in (field.from_int(7), field.from_int(11)):
+                total = field.zero
+                for k, c in enumerate(fam.entries):
+                    total = total + c / pochhammer_u(u0, k, field)
+                assert total == eig.at(u0), (lam, field)
 
 
 def test_e1_closed_form():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -264,3 +267,22 @@ def test_numeric_field_point():
     assert f.q != f.t
     assert f.from_int(3) == Fraction(3)
     assert SYMBOLIC.is_symbolic and not f.is_symbolic
+
+
+def test_inexact_division_raises_under_optimisation():
+    # python -O strips assert statements; the exactness check must survive it
+    import qtsym
+
+    code = (
+        "from qtsym.ratfun import InexactDivision, parse_ratfun, poly_divexact\n"
+        "for a, b in (('q^2+t', 'q+1'), ('q^2+t', '2*q')):\n"
+        "    try:\n"
+        "        print(poly_divexact(parse_ratfun(a).num, parse_ratfun(b).num))\n"
+        "    except InexactDivision:\n"
+        "        print('InexactDivision')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qtsym.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["InexactDivision", "InexactDivision"]

@@ -2,7 +2,8 @@ import io
 import json
 import random
 
-from qtsym.families import macdonald_M
+from qtsym import symfun, verify
+from qtsym.families import GreenTable, macdonald_M
 from qtsym.partitions import (
     Compare,
     Partition,
@@ -11,7 +12,7 @@ from qtsym.partitions import (
     partitions_up_to,
 )
 from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
-from qtsym.symfun import SymFun, XPoly, divide_by_vandermonde
+from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, divide_by_vandermonde
 from qtsym.verify import (
     CheckReport,
     alternant_F,
@@ -28,7 +29,7 @@ from qtsym.verify import (
     run_suite,
     write_reports,
 )
-from qtsym.verify import _interlacing_same_length
+from qtsym.verify import _interlacing
 
 F = SYMBOLIC
 one = F.one
@@ -124,7 +125,7 @@ def test_schur_support_below_target():
             for lam in enumerate_partitions(w, max_length=N - 1):
                 if not lam:
                     continue
-                for mu in _interlacing_same_length(lam):
+                for mu in _interlacing(lam, 1):
                     n = sum(lam) - sum(mu)
                     f = alternant_F(mu, n, N)
                     for nu in antisymmetrize_to_schur(f):
@@ -135,6 +136,41 @@ def test_proposition_examples():
     assert check_proposition(2, P(1)).passed()
     assert check_proposition(2, P(2)).passed()
     assert check_proposition(3, P(2, 1)).passed()
+
+
+def test_proposition_reports_failed_decomposition(monkeypatch):
+    real = verify.hl_alternant
+
+    def doubled(lam, N, field=F):
+        return real(lam, N, field).scale(F.from_int(2))
+
+    monkeypatch.setattr(verify, "hl_alternant", doubled)
+    report = check_proposition(3, P(2, 1))
+    assert not report.passed()
+    assert report.witness.startswith("slot decomposition of the alternant F(mu=(2, 1), n=0, N=3)")
+
+
+def test_caches_hold_no_zero_coefficients():
+    # the containers' constructors drop zeros and memoised raw dicts are
+    # filtered before they are stored, so no cached coefficient is zero
+    assert all(r.passed() for r in run_suite("deigen", {"N": 3, "max_weight": 3}))
+    assert all(r.passed() for r in run_suite("theorem", {"max_degree": 4, "max_k": 2}))
+    zeros = []
+
+    def walk(value, path):
+        if isinstance(value, (SymFun, NSymPoly, XPoly, BiSymFun)):
+            value = value.coeffs
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, path + (k,))
+        elif isinstance(value, GreenTable):
+            pass  # a dense table: X[lam, mu] = 0 is an entry
+        elif not value:
+            zeros.append(path)
+
+    for key, value in symfun._CACHE.items():
+        walk(value, (key,))
+    assert not zeros, zeros[:5]
 
 
 def test_finite_symbol_small():
