@@ -15,11 +15,12 @@ import sys
 from . import families, macops, verify
 from .partitions import Partition, parse_partition
 from .ratfun import (
-    SYMBOLIC,
+    R_ONE,
     DivisionByZero,
     ParseError,
     RatFun,
     _is_atom,
+    _Parser,
     format_ratfun,
     random_point,
 )
@@ -36,176 +37,71 @@ class CliError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# operand expressions: basis-tagged generators with +, -, * and scalars
+# operand expressions: the scalar grammar plus basis-tagged generators
 
-class _ExprTokens:
-    def __init__(self, text):
-        self.toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], i))
-                i = j
-            elif ch in BASES and i + 1 < len(text) and text[i + 1] == "[":
-                j = text.find("]", i + 1)
-                if j < 0:
-                    raise ParseError("unterminated generator bracket", i)
-                inner = text[i + 2:j]
-                try:
-                    lam = parse_partition(inner)
-                except ValueError:
-                    raise ParseError("bad partition %r" % inner, i + 2)
-                self.toks.append(("gen", (ch, lam), i))
-                i = j + 1
-            elif ch in ("q", "t"):
-                self.toks.append(("sym", ch, i))
-                i += 1
-            elif ch in "+-*/^()":
-                self.toks.append((ch, ch, i))
-                i += 1
-            else:
-                raise ParseError("unexpected character %r" % ch, i)
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, -1)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
-def _as_symfun(value, like=None, field=SYMBOLIC):
+def _as_symfun(value, like=None):
     if isinstance(value, SymFun):
         return value
     basis = like.basis if isinstance(like, SymFun) else "p"
-    return SymFun(basis, {Partition(): value} if value else {}, 0, field)
+    return SymFun(basis, {Partition(): value} if value else {}, 0)
 
 
-def _expr_add(a, b, sign, field):
-    if isinstance(a, RatFun) and isinstance(b, RatFun):
-        return a + b if sign > 0 else a - b
-    fa = _as_symfun(a, b, field)
-    fb = _as_symfun(b, a, field)
-    fb = convert(fb, fa.basis)
-    return fa + fb if sign > 0 else fa - fb
+class _OperandParser(_Parser):
+    """The scalar grammar plus generator atoms such as m[2,1]; sums,
+    products, division by a scalar and nonnegative powers mix scalars
+    with SymFuns."""
 
+    def _lex(self, text, i):
+        if text[i] not in BASES or text[i + 1:i + 2] != "[":
+            return None
+        j = text.find("]", i + 1)
+        if j < 0:
+            raise ParseError("unterminated generator bracket", i)
+        inner = text[i + 2:j]
+        try:
+            lam = parse_partition(inner)
+        except ValueError:
+            raise ParseError("bad partition %r" % inner, i + 2)
+        return ("gen", (text[i], lam), i), j + 1
 
-def _expr_mul(a, b, field):
-    if isinstance(a, RatFun) and isinstance(b, RatFun):
-        return a * b
-    if isinstance(a, RatFun):
-        return b.scale(a)
-    if isinstance(b, RatFun):
-        return a.scale(b)
-    return multiply(a, b)
+    def _extra_atom(self, kind, value, pos):
+        if kind == "gen":
+            return SymFun.generator(*value)
+        return super()._extra_atom(kind, value, pos)
 
+    def _add(self, a, b):
+        if isinstance(a, RatFun) and isinstance(b, RatFun):
+            return a + b
+        fa = _as_symfun(a, b)
+        return fa + convert(_as_symfun(b, a), fa.basis)
 
-def parse_expression(text, field=SYMBOLIC):
-    """Evaluate the operand grammar to a SymFun (or bare scalar)."""
-    toks = _ExprTokens(text)
-    value = _parse_expr_sum(toks, field)
-    kind, _, pos = toks.peek()
-    if kind is not None:
-        raise ParseError("trailing input", pos)
-    return value
+    def _sub(self, a, b):
+        return self._add(a, -b)
 
+    def _mul(self, a, b):
+        if isinstance(a, RatFun):
+            return a * b if isinstance(b, RatFun) else b.scale(a)
+        return a.scale(b) if isinstance(b, RatFun) else multiply(a, b)
 
-def _parse_expr_sum(toks, field):
-    value = _parse_expr_product(toks, field)
-    while True:
-        kind = toks.peek()[0]
-        if kind == "+":
-            toks.next()
-            value = _expr_add(value, _parse_expr_product(toks, field), 1, field)
-        elif kind == "-":
-            toks.next()
-            value = _expr_add(value, _parse_expr_product(toks, field), -1, field)
-        else:
-            return value
+    def _div(self, a, b, pos):
+        if not isinstance(b, RatFun):
+            raise ParseError("division only by scalars", pos)
+        return self._mul(a, super()._div(R_ONE, b, pos))
 
-
-def _parse_expr_product(toks, field):
-    value = _parse_expr_factor(toks, field)
-    while True:
-        kind = toks.peek()[0]
-        if kind == "*":
-            toks.next()
-            value = _expr_mul(value, _parse_expr_factor(toks, field), field)
-        elif kind == "/":
-            _, _, pos = toks.next()
-            rhs = _parse_expr_factor(toks, field)
-            if not isinstance(rhs, RatFun):
-                raise ParseError("division only by scalars", pos)
-            if not rhs:
-                raise DivisionByZero("division by zero at position %d" % pos)
-            if isinstance(value, RatFun):
-                value = value / rhs
-            else:
-                value = value.scale(field.one / rhs)
-        else:
-            return value
-
-
-def _parse_expr_factor(toks, field):
-    kind = toks.peek()[0]
-    if kind == "-":
-        toks.next()
-        return -_parse_expr_factor(toks, field)
-    if kind == "+":
-        toks.next()
-        return _parse_expr_factor(toks, field)
-    return _parse_expr_power(toks, field)
-
-
-def _parse_expr_power(toks, field):
-    base = _parse_expr_atom(toks, field)
-    while toks.peek()[0] == "^":
-        toks.next()
-        kind, text, pos = toks.next()
-        neg = False
-        if kind == "-":
-            neg = True
-            kind, text, pos = toks.next()
-        if kind != "int":
-            raise ParseError("exponent must be an integer", pos)
-        e = int(text)
+    def _pow(self, base, e, neg, pos):
         if isinstance(base, RatFun):
-            base = base ** (-e if neg else e)
-        else:
-            if neg:
-                raise ParseError("negative powers apply to scalars only", pos)
-            out = _as_symfun(field.one, base, field)
-            for _ in range(e):
-                out = multiply(out, base)
-            base = out
-    return base
+            return super()._pow(base, e, neg, pos)
+        if neg:
+            raise ParseError("negative powers apply to scalars only", pos)
+        out = _as_symfun(R_ONE, base)
+        for _ in range(e):
+            out = multiply(out, base)
+        return out
 
 
-def _parse_expr_atom(toks, field):
-    kind, text, pos = toks.next()
-    if kind == "int":
-        return field.from_int(int(text))
-    if kind == "sym":
-        return field.q if text == "q" else field.t
-    if kind == "gen":
-        basis, lam = text
-        return SymFun.generator(basis, lam, field=field)
-    if kind == "(":
-        value = _parse_expr_sum(toks, field)
-        kind, _, pos = toks.next()
-        if kind != ")":
-            raise ParseError("expected ')'", pos)
-        return value
-    raise ParseError("expected a value", pos)
+def parse_expression(text):
+    """Evaluate the operand grammar to a SymFun (or bare scalar)."""
+    return _OperandParser(text).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +121,37 @@ def _wrapped(s):
     return False
 
 
-def render_plain(f):
+def _render(f, gen, coeff, scaled):
+    """Join the terms of f.  gen % (basis, parts) names a generator, coeff
+    formats a RatFun, and scaled(cs, g) writes a coefficient times a generator."""
     if not f.coeffs:
         return "0"
     parts = []
     for lam, c in f.terms():
-        gen = "%s[%s]" % (f.basis, ",".join(str(x) for x in lam))
-        cs = format_ratfun(c) if isinstance(c, RatFun) else str(c)
+        g = gen % (f.basis, ",".join(str(x) for x in lam))
+        cs = coeff(c) if isinstance(c, RatFun) else str(c)
         if not lam:
             parts.append(cs)
-            continue
-        if cs == "1":
-            parts.append(gen)
+        elif cs == "1":
+            parts.append(g)
         elif cs == "-1":
-            parts.append("-" + gen)
-        elif _is_atom(cs) or _wrapped(cs):
-            parts.append("%s*%s" % (cs, gen))
+            parts.append("-" + g)
         else:
-            parts.append("(%s)*%s" % (cs, gen))
+            parts.append(scaled(cs, g))
     out = parts[0]
     for s in parts[1:]:
         out += " - " + s[1:] if s.startswith("-") else " + " + s
     return out
+
+
+def _plain_scaled(cs, g):
+    if _is_atom(cs) or _wrapped(cs):
+        return "%s*%s" % (cs, g)
+    return "(%s)*%s" % (cs, g)
+
+
+def render_plain(f):
+    return _render(f, "%s[%s]", format_ratfun, _plain_scaled)
 
 
 def _latex_ratfun(c):
@@ -257,24 +162,7 @@ def _latex_ratfun(c):
 
 
 def render_latex(f):
-    if not f.coeffs:
-        return "0"
-    parts = []
-    for lam, c in f.terms():
-        gen = "%s_{(%s)}" % (f.basis, ",".join(str(x) for x in lam))
-        cs = _latex_ratfun(c) if isinstance(c, RatFun) else str(c)
-        if not lam:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(gen)
-        elif cs == "-1":
-            parts.append("-" + gen)
-        else:
-            parts.append("%s\\, %s" % (cs, gen))
-    out = parts[0]
-    for s in parts[1:]:
-        out += " - " + s[1:] if s.startswith("-") else " + " + s
-    return out
+    return _render(f, "%s_{(%s)}", _latex_ratfun, lambda cs, g: "%s\\, %s" % (cs, g))
 
 
 def render_symfun(f, fmt):
@@ -326,7 +214,7 @@ def cmd_apply(args):
         value = parse_expression(args.to_expr)
     except (ParseError, DivisionByZero) as exc:
         raise CliError("bad operand expression: %s" % exc, USAGE_ERROR)
-    f = _as_symfun(value, None, SYMBOLIC)
+    f = _as_symfun(value)
     if args.op == "DN":
         if args.N is None:
             raise CliError("the determinantal operator needs --N", PRECONDITION_ERROR)
@@ -357,16 +245,10 @@ def cmd_apply(args):
 
 def _verify_config(args):
     config = {}
-    if args.max_degree is not None:
-        config["max_degree"] = args.max_degree
-    if args.max_k is not None:
-        config["max_k"] = args.max_k
-    if args.max_weight is not None:
-        config["max_weight"] = args.max_weight
-    if args.N is not None:
-        config["N"] = args.N
-    if args.degree is not None:
-        config["degree"] = args.degree
+    for name in ("max_degree", "max_k", "max_weight", "N", "degree"):
+        value = getattr(args, name)
+        if value is not None:
+            config[name] = value
     if args.u_samples:
         try:
             config["u_samples"] = tuple(int(x) for x in args.u_samples.split(","))

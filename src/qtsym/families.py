@@ -29,9 +29,9 @@ from .symfun import (
     SingularTransition,
     SymFun,
     XPoly,
-    _express_in_basis,
     _memo,
     _p_pairing,
+    _pair_product,
     antisymmetrize_to_schur,
     axpy,
     schur_in_m_limited,
@@ -40,21 +40,7 @@ from .symfun import (
 
 def t_deformed_vandermonde(N, field=SYMBOLIC):
     """The expanded product of (x_i - t x_j) over all pairs i < j <= N."""
-
-    def build():
-        xp = symfun.xpoly_one(N, field)
-        neg_t = -field.t
-        for i in range(N):
-            for j in range(i + 1, N):
-                ei = [0] * N
-                ei[i] = 1
-                ej = [0] * N
-                ej[j] = 1
-                factor = XPoly(N, {tuple(ei): field.one, tuple(ej): neg_t}, field)
-                xp = xp * factor
-        return xp
-
-    return _memo(("tvand", N, field), build)
+    return _memo(("tvand", N, field), lambda: _pair_product(N, -field.t, field))
 
 
 def hl_alternant(lam, N, field=SYMBOLIC):
@@ -221,12 +207,10 @@ def green_table(degree, field=SYMBOLIC):
 
     def build():
         lams = enumerate_partitions(degree)
-        expansions = {mu: hl_in_m(mu, field) for mu in lams}
-        order = sorted(lams, key=grevlex_key)
-        p_to_m = symfun._p_to_m_degree(degree, field)
+        p_to_hl = symfun.transition_matrix("p", "P", degree, field)
         entries = {}
         for lam in lams:
-            row = _express_in_basis(p_to_m[lam], expansions, order)
+            row = p_to_hl[lam]
             for mu in lams:
                 c = row.get(mu, field.zero)
                 if field.is_symbolic:

@@ -87,12 +87,17 @@ def up_eval(a, u0, field):
     return total
 
 
+def _up_product(factors, field):
+    """prod (a + b u) over the (a, b) pairs of factors, as a u-polynomial."""
+    out = [field.one]
+    for a, b in factors:
+        out = up_mul(out, [a, b], field)
+    return out
+
+
 def pochhammer_u(u0, k, field):
     """(u0; 1/t)_k = prod_{j<k} (1 - u0 t^-j)."""
-    out = field.one
-    for j in range(k):
-        out = out * (field.one - u0 * field.t ** (-j))
-    return out
+    return up_eval(_pochhammer_tail_upoly(0, k, field), u0, field)
 
 
 class URat:
@@ -147,10 +152,7 @@ def apply_DN(f, N=None):
 
 def _pochhammer_tail_upoly(k, N, field):
     # prod_{j=k}^{N-1} (1 - u t^-j) as a u-polynomial
-    out = [field.one]
-    for j in range(k, N):
-        out = up_mul(out, [field.one, -(field.t ** (-j))], field)
-    return out
+    return _up_product(((field.one, -(field.t ** (-j))) for j in range(k, N)), field)
 
 
 def _partial_fractions(num, N, field):
@@ -193,17 +195,27 @@ def apply_AN(f, N=None):
 def A_k_apply(k, f, degree_bound=None):
     """Apply the k-th stable operator: sum over length-k partitions lam of
     q^(-|lam|) Q_lam P_lam^* acting on f."""
-    field = f.field
     bound = f.degree_bound if degree_bound is None else degree_bound
     fp = convert(f, "p")
+    return _hl_operator_sum(fp, k, fp.max_degree(), ("Q", False), ("P", False), bound, f.field.one)
+
+
+def _hl_operator_sum(fp, k, top, x, y, bound, unit):
+    """Sum over length-k partitions lam with |lam| <= top of
+    unit q^(-|lam|) X (Y^* fp).  x and y are (kind, grown) pairs naming the
+    Hall-Littlewood P or Q at lam, or at lam u (1) when grown."""
+    field = fp.field
     result = SymFun.zero("p", bound, field)
-    for w in range(k, fp.max_degree() + 1):
+    for w in range(k, top + 1):
+        scalar = unit * field.q ** (-w)
         for lam in enumerate_partitions(w, exact_length=k):
-            adj = adjoint_apply(_hl_sym(lam, "P", bound, field), fp)
+            y_lam = append_one(lam) if y[1] else lam
+            adj = adjoint_apply(_hl_sym(y_lam, y[0], bound, field), fp)
             if adj.is_zero():
                 continue
-            term = p_multiply(_hl_sym(lam, "Q", bound, field), adj, bound)
-            result = result + term.scale(field.q ** (-w))
+            x_lam = append_one(lam) if x[1] else lam
+            term = p_multiply(_hl_sym(x_lam, x[0], bound, field), adj, bound)
+            result = result + term.scale(scalar)
     return result
 
 
@@ -213,13 +225,17 @@ def _hl_sym(lam, kind, bound, field):
 
 
 def A_eigen(lam, field=SYMBOLIC):
-    """Eigenvalue of the full family on M_lam, as a ratio of u-polynomials."""
-    num = [field.one]
-    den = [field.one]
-    for i, part in enumerate(Partition(lam), start=1):
-        num = up_mul(num, [field.q ** (-part), -(field.t ** (1 - i))], field)
-        den = up_mul(den, [field.one, -(field.t ** (1 - i))], field)
-    return URat(num, den, field)
+    """Eigenvalue of the full family on M_lam, as a ratio of u-polynomials:
+    prod_i (q^(-lam_i) - u t^(1-i)) over (u;1/t)_ell."""
+    lam = Partition(lam)
+    num = _up_product(_eigen_factors(lam, field), field)
+    return URat(num, _pochhammer_tail_upoly(0, len(lam), field), field)
+
+
+def _eigen_factors(lam, field, skip=None):
+    # the (a, b) pairs of the factors q^(-lam_i) - u t^(1-i), i != skip
+    return ((field.q ** (-part), -(field.t ** (1 - i)))
+            for i, part in enumerate(lam, start=1) if i != skip)
 
 
 def A_k_eigen(lam, field=SYMBOLIC):
@@ -277,27 +293,12 @@ def step_series_apply(kind, k, f, degree_bound=None):
     """Apply the (k+1)-st raising (B) or lowering (C) operator to f."""
     if kind not in ("B", "C"):
         raise ValueError("kind must be B or C")
-    field = f.field
     fp = convert(f, "p")
     bound = (fp.max_degree() + 1) if degree_bound is None else degree_bound
-    result = SymFun.zero("p", bound, field)
-    tpow = field.t ** (-k)
-    top = fp.max_degree() if kind == "B" else fp.max_degree() - 1
-    for w in range(k, top + 1):
-        for mu in enumerate_partitions(w, exact_length=k):
-            mu1 = append_one(mu)
-            if kind == "B":
-                adj = adjoint_apply(_hl_sym(mu, "P", bound, field), fp)
-                if adj.is_zero():
-                    continue
-                term = p_multiply(_hl_sym(mu1, "Q", bound, field), adj, bound)
-            else:
-                adj = adjoint_apply(_hl_sym(mu1, "Q", bound, field), fp)
-                if adj.is_zero():
-                    continue
-                term = p_multiply(_hl_sym(mu, "P", bound, field), adj, bound)
-            result = result + term.scale(tpow * field.q ** (-w))
-    return result
+    tpow = f.field.t ** (-k)
+    if kind == "B":
+        return _hl_operator_sum(fp, k, fp.max_degree(), ("Q", True), ("P", False), bound, tpow)
+    return _hl_operator_sum(fp, k, fp.max_degree() - 1, ("P", False), ("Q", True), bound, tpow)
 
 
 def step_family_at(kind, f, u0, max_k=None):
@@ -318,14 +319,9 @@ def step_family_at(kind, f, u0, max_k=None):
 def open_slot_factor(lam, i, field=SYMBOLIC):
     """The eigenvalue product with the factor at slot i opened up."""
     lam = Partition(lam)
-    num = [field.t ** (1 - i)]
-    den = [field.one, -(field.t ** (1 - i))]
-    for j in range(1, len(lam) + 1):
-        if j == i:
-            continue
-        num = up_mul(num, [field.q ** (-lam[j - 1]), -(field.t ** (1 - j))], field)
-        den = up_mul(den, [field.one, -(field.t ** (1 - j))], field)
-    return URat(num, den, field)
+    num = _up_product(_eigen_factors(lam, field, skip=i), field)
+    num = [field.t ** (1 - i) * c for c in num]
+    return URat(num, _pochhammer_tail_upoly(0, len(lam), field), field)
 
 
 def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):

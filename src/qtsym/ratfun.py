@@ -36,9 +36,10 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # dense univariate helpers over Z (tuples indexed by degree, trimmed)
 
-def _ut(c):
+def _trim(c):
+    # drop trailing zeros (integers, or empty t-polynomials) into a tuple
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -47,7 +48,7 @@ def _u_sub(a, b):
     out = list(a) + [0] * (len(b) - len(a))
     for i, x in enumerate(b):
         out[i] -= x
-    return _ut(out)
+    return _trim(out)
 
 
 def _u_mul(a, b):
@@ -58,7 +59,7 @@ def _u_mul(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _ut(out)
+    return _trim(out)
 
 
 def _u_smul(a, c):
@@ -114,7 +115,7 @@ def _u_trial_div(f, g):
             rem[k + j] -= c * y
     if any(rem):
         return None
-    return _ut(out)
+    return _trim(out)
 
 
 def _exact(quotient):
@@ -189,13 +190,6 @@ def _u_gcd(f, g):
 # ---------------------------------------------------------------------------
 # polynomials in q over Z[t] (tuples of t-polynomials, trimmed)
 
-def _bt(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return tuple(c)
-
-
 def _b_content(f):
     g = ()
     for c in f:
@@ -228,7 +222,7 @@ def _b_prem(f, g):
         out = [scaled[i] if i < len(scaled) else () for i in range(max(len(scaled), len(shifted)))]
         for i, a in enumerate(shifted):
             out[i] = _u_sub(out[i], a)
-        r = _bt(out)
+        r = _trim(out)
     return r
 
 
@@ -254,7 +248,7 @@ def _b_trial_div(f, g):
             rem[k + j] = _u_sub(rem[k + j], _u_mul(c, a))
     if any(rem):
         return None
-    return _bt(out)
+    return _trim(out)
 
 
 def _b_max_coeff(f):
@@ -262,7 +256,7 @@ def _b_max_coeff(f):
 
 
 def _b_eval_t(f, xi):
-    return _ut([_u_eval_int(c, xi) for c in f])
+    return _trim([_u_eval_int(c, xi) for c in f])
 
 
 def _b_gcd_prs(f, g):
@@ -287,7 +281,7 @@ def _b_gcd(f, g):
         fv, gv = _b_eval_t(f, xi), _b_eval_t(g, xi)
         if fv and gv:
             hv = _u_gcd(fv, gv)
-            cand = _bt([_digits_balanced(x, xi) for x in hv])
+            cand = _trim([_digits_balanced(x, xi) for x in hv])
             cc = _b_content(cand)
             if cc and cc != (1,):
                 cand = _b_divground(cand, cc)
@@ -312,8 +306,8 @@ def _to_rec(terms):
         if not col:
             out.append(())
         else:
-            out.append(_ut([col.get(i, 0) for i in range(max(col) + 1)]))
-    return _bt(out)
+            out.append(_trim([col.get(i, 0) for i in range(max(col) + 1)]))
+    return _trim(out)
 
 
 def _from_rec(rec):
@@ -386,14 +380,7 @@ class IntPoly2:
         return IntPoly2(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return IntPoly2(out)
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -516,13 +503,13 @@ def poly_gcd(a, b):
 
 def _gcd_core(a, b):
     if a.max_deg_q() == 0 and b.max_deg_q() == 0:
-        f = _ut([a.terms.get((0, i), 0) for i in range(a.max_deg_t() + 1)])
-        g = _ut([b.terms.get((0, i), 0) for i in range(b.max_deg_t() + 1)])
+        f = _trim([a.terms.get((0, i), 0) for i in range(a.max_deg_t() + 1)])
+        g = _trim([b.terms.get((0, i), 0) for i in range(b.max_deg_t() + 1)])
         h = _u_gcd(f, g)
         return IntPoly2({(0, i): c for i, c in enumerate(h) if c})
     if a.max_deg_t() == 0 and b.max_deg_t() == 0:
-        f = _ut([a.terms.get((i, 0), 0) for i in range(a.max_deg_q() + 1)])
-        g = _ut([b.terms.get((i, 0), 0) for i in range(b.max_deg_q() + 1)])
+        f = _trim([a.terms.get((i, 0), 0) for i in range(a.max_deg_q() + 1)])
+        g = _trim([b.terms.get((i, 0), 0) for i in range(b.max_deg_q() + 1)])
         h = _u_gcd(f, g)
         return IntPoly2({(i, 0): c for i, c in enumerate(h) if c})
     h = _b_gcd(_to_rec(a.terms), _to_rec(b.terms))
@@ -821,7 +808,14 @@ def format_ratfun(r):
     return "%s/%s" % (num, den)
 
 
-class _Tokens:
+class _Parser:
+    """Recursive descent over integers, q, t, + - * / ^ and parentheses.
+
+    Values are RatFun.  A subclass extends the grammar with extra atoms
+    (`_lex` and `_extra_atom`) and mixes its own values with scalars by
+    overriding `_add`, `_sub`, `_mul`, `_div` and `_pow`.
+    """
+
     def __init__(self, text):
         self.text = text
         self.toks = []
@@ -831,7 +825,11 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            extra = self._lex(text, i)
+            if extra is not None:
+                tok, i = extra
+                self.toks.append(tok)
+            elif ch.isdigit():
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
@@ -844,6 +842,10 @@ class _Tokens:
                 raise ParseError("unexpected character %r" % ch, i)
         self.pos = 0
 
+    def _lex(self, text, i):
+        # an extra token (kind, value, position) and the index after it, or None
+        return None
+
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None, len(self.text))
 
@@ -852,90 +854,102 @@ class _Tokens:
         self.pos += 1
         return tok
 
+    def parse(self):
+        value = self._sum()
+        kind, _, pos = self.peek()
+        if kind is not None:
+            raise ParseError("trailing input", pos)
+        return value
+
+    def _sum(self):
+        value = self._product()
+        while True:
+            kind = self.peek()[0]
+            if kind == "+":
+                self.next()
+                value = self._add(value, self._product())
+            elif kind == "-":
+                self.next()
+                value = self._sub(value, self._product())
+            else:
+                return value
+
+    def _product(self):
+        value = self._factor()
+        while True:
+            kind = self.peek()[0]
+            if kind == "*":
+                self.next()
+                value = self._mul(value, self._factor())
+            elif kind == "/":
+                _, _, pos = self.next()
+                value = self._div(value, self._factor(), pos)
+            else:
+                return value
+
+    def _factor(self):
+        kind = self.peek()[0]
+        if kind == "-":
+            self.next()
+            return -self._factor()
+        if kind == "+":
+            self.next()
+            return self._factor()
+        return self._power()
+
+    def _power(self):
+        base = self._atom()
+        while self.peek()[0] == "^":
+            self.next()
+            kind, text, pos = self.next()
+            neg = kind == "-"
+            if neg:
+                kind, text, pos = self.next()
+            if kind != "int":
+                raise ParseError("exponent must be an integer", pos)
+            base = self._pow(base, int(text), neg, pos)
+        return base
+
+    def _atom(self):
+        kind, text, pos = self.next()
+        if kind == "int":
+            return RatFun.from_int(int(text))
+        if kind == "q":
+            return R_Q
+        if kind == "t":
+            return R_T
+        if kind == "(":
+            value = self._sum()
+            kind, _, pos = self.next()
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            return value
+        return self._extra_atom(kind, text, pos)
+
+    def _extra_atom(self, kind, value, pos):
+        raise ParseError("expected a value", pos)
+
+    def _add(self, a, b):
+        return a + b
+
+    def _sub(self, a, b):
+        return a - b
+
+    def _mul(self, a, b):
+        return a * b
+
+    def _div(self, a, b, pos):
+        if not b:
+            raise DivisionByZero("division by zero at position %d" % pos)
+        return a / b
+
+    def _pow(self, base, e, neg, pos):
+        return base ** (-e if neg else e)
+
 
 def parse_ratfun(text):
     """Parse the +-*/^ grammar over integers and the symbols q, t."""
-    toks = _Tokens(text)
-    value = _parse_sum(toks)
-    kind, _, pos = toks.peek()
-    if kind is not None:
-        raise ParseError("trailing input", pos)
-    return value
-
-
-def _parse_sum(toks):
-    value = _parse_product(toks)
-    while True:
-        kind, _, _ = toks.peek()
-        if kind == "+":
-            toks.next()
-            value = value + _parse_product(toks)
-        elif kind == "-":
-            toks.next()
-            value = value - _parse_product(toks)
-        else:
-            return value
-
-
-def _parse_product(toks):
-    value = _parse_factor(toks)
-    while True:
-        kind, _, _ = toks.peek()
-        if kind == "*":
-            toks.next()
-            value = value * _parse_factor(toks)
-        elif kind == "/":
-            _, _, pos = toks.next()
-            rhs = _parse_factor(toks)
-            if not rhs.num:
-                raise DivisionByZero("division by zero at position %d" % pos)
-            value = value / rhs
-        else:
-            return value
-
-
-def _parse_factor(toks):
-    kind, _, _ = toks.peek()
-    if kind == "-":
-        toks.next()
-        return -_parse_factor(toks)
-    if kind == "+":
-        toks.next()
-        return _parse_factor(toks)
-    return _parse_power(toks)
-
-
-def _parse_power(toks):
-    base = _parse_atom(toks)
-    while toks.peek()[0] == "^":
-        toks.next()
-        kind, text, pos = toks.next()
-        neg = False
-        if kind == "-":
-            neg = True
-            kind, text, pos = toks.next()
-        if kind != "int":
-            raise ParseError("exponent must be an integer", pos)
-        e = int(text)
-        base = base ** (-e if neg else e)
-    return base
-
-
-def _parse_atom(toks):
-    kind, text, pos = toks.next()
-    if kind == "int":
-        return RatFun.from_int(int(text))
-    if kind == "q":
-        return R_Q
-    if kind == "t":
-        return R_T
-    if kind == "(":
-        value = _parse_sum(toks)
-        kind, _, pos = toks.next()
-        if kind != ")":
-            raise ParseError("expected ')'", pos)
-        return value
-    raise ParseError("expected a value", pos)
+    return _Parser(text).parse()
 
 
 # ---------------------------------------------------------------------------

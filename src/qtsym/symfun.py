@@ -312,20 +312,27 @@ def _cache_path(frm, to, degree):
     return os.path.join(root, "transition_%s_%s_%d.json" % (frm, to, degree))
 
 
+_CACHE_FORMAT = 1
+
+
 def _load_cached_matrix(frm, to, degree, field):
+    """The cached columns, or None (a cache miss) unless the file holds the
+    (frm, to, degree) matrix in the current format with one column per
+    partition of the degree."""
     path = _cache_path(frm, to, degree)
     if path is None or not field.is_symbolic or not os.path.exists(path):
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    out = {}
-    for col in data["columns"]:
-        lam = Partition(col["partition"])
-        out[lam] = {
-            Partition(term["partition"]): parse_ratfun(term["coeff"])
-            for term in col["terms"]
-        }
-    return out
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if (data["format"], data["from"], data["to"], data["degree"]) != (_CACHE_FORMAT, frm, to, degree):
+            return None
+        columns = [(Partition(col["partition"]), from_json_dict(col)) for col in data["columns"]]
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        return None
+    if [lam for lam, _ in columns] != enumerate_partitions(degree):
+        return None
+    return {lam: sym.coeffs for lam, sym in columns}
 
 
 def _store_cached_matrix(frm, to, degree, field, matrix):
@@ -342,7 +349,8 @@ def _store_cached_matrix(frm, to, degree, field, matrix):
         columns.append(entry)
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump({"from": frm, "to": to, "degree": degree, "columns": columns}, fh, sort_keys=True)
+        data = {"format": _CACHE_FORMAT, "from": frm, "to": to, "degree": degree, "columns": columns}
+        json.dump(data, fh, sort_keys=True)
     os.replace(tmp, path)
 
 
@@ -549,13 +557,25 @@ def xpoly_one(N, field=SYMBOLIC):
     return XPoly(N, {(0,) * N: field.one}, field)
 
 
+def _slot(N, i, n=1):
+    # the exponent vector of x_i^n among N variables
+    e = [0] * N
+    e[i] = n
+    return tuple(e)
+
+
 def power_sum_xpoly(n, N, field=SYMBOLIC):
-    terms = {}
-    for i in range(N):
-        e = [0] * N
-        e[i] = n
-        terms[tuple(e)] = field.one
-    return XPoly(N, terms, field)
+    return XPoly(N, {_slot(N, i, n): field.one for i in range(N)}, field)
+
+
+def _pair_product(N, c, field, skip=None):
+    """The expanded product of (x_i + c x_j) over i < j < N, both not skip."""
+    out = xpoly_one(N, field)
+    idx = [i for i in range(N) if i != skip]
+    for a, i in enumerate(idx):
+        for j in idx[a + 1:]:
+            out = out * XPoly(N, {_slot(N, i): field.one, _slot(N, j): c}, field)
+    return out
 
 
 def _distinct_permutations(items):

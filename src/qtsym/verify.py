@@ -29,6 +29,7 @@ from .macops import (
     A_k_apply,
     A_k_eigen,
     PoleAtSample,
+    _up_product,
     pochhammer_u,
     step_series_apply,
 )
@@ -48,6 +49,8 @@ from .symfun import (
     NSymPoly,
     SymFun,
     XPoly,
+    _pair_product,
+    _slot,
     convert,
     divide_by_vandermonde,
     expand_x,
@@ -246,14 +249,9 @@ def check_deigen(N, lam, field=SYMBOLIC):
     f = restrict(macdonald_M(lam, field=field), N)
     coeffs = macops.apply_DN(f, N)
     padded = list(lam) + [0] * (N - len(lam))
-    expect = [field.one]
-    for i, part in enumerate(padded, start=1):
-        root = field.q ** part * field.t ** (1 - i)
-        new = [field.zero] * (len(expect) + 1)
-        for j, c in enumerate(expect):
-            new[j] = new[j] + c
-            new[j + 1] = new[j + 1] - c * root
-        expect = new
+    # prod_i (1 - u q^(lam_i) t^(1-i))
+    roots = (field.q ** part * field.t ** (1 - i) for i, part in enumerate(padded, start=1))
+    expect = _up_product(((field.one, -root) for root in roots), field)
     for k in range(N + 1):
         if coeffs[k] != f.scale(expect[k]):
             return _finish("deigen", params, t0, False, "u-power %d differs" % k)
@@ -289,60 +287,41 @@ def check_corollary(k, mu, u_samples, field=SYMBOLIC):
             eig[(nu, u0)] = A_eigen(nu, field).at(field.from_int(u0))
         return eig[(nu, u0)]
 
-    pieces = {}
-    for kind in ("B", "C"):
-        pieces[kind] = [step_series_apply(kind, j, m_mu, bound) for j in range(k + 1)]
+    # raising side: p1 A(u) - q A(u) p1 = -u B(u) (1-q)/(1-t) on M_mu;
+    # lowering side: A(u) d/dp1 - q d/dp1 A(u) = -u C(u) on M_mu.
+    # Each neighbour nu carries its Pieri coefficient and the pair
+    # (smaller, larger) of mu and nu.
+    sides = (
+        ("raising", "B", (field.one - field.q) / (field.one - field.t),
+         [(lam, macops.pieri_up_coeff(lam, mu, field), mu, lam) for lam, _ in add_box_positions(mu)]),
+        ("lowering", "C", field.one,
+         [(nu, macops.pieri_down_coeff(nu, mu, field), nu, mu) for nu, _ in remove_box_positions(mu)]),
+    )
+    pieces = {kind: [step_series_apply(kind, j, m_mu, bound) for j in range(k + 1)] for kind in ("B", "C")}
     for u0 in u_samples:
         u = field.from_int(u0)
-        # raising side: p1 A(u) - q A(u) p1 = -u B(u) (1-q)/(1-t) on M_mu
-        lhs = SymFun.zero("p", bound, field)
-        for lam, _ in add_box_positions(mu):
-            c = macops.pieri_up_coeff(lam, mu, field) * (a_val(mu, u0) - field.q * a_val(lam, u0))
-            lhs = lhs + convert(macdonald_M(lam, bound, field), "p").scale(c)
-        rhs = SymFun.zero("p", bound, field)
-        for j, piece in enumerate(pieces["B"]):
-            if piece.is_zero():
-                continue
-            poch = pochhammer_u(u, j + 1, field)
-            if not poch:
-                raise PoleAtSample("u=%d hits a factor of the expansion basis" % u0)
-            rhs = rhs + piece.scale(field.one / poch)
-        rhs = rhs.scale(-u * (field.one - field.q) / (field.one - field.t))
-        if lhs != rhs:
-            return _finish("corollary", params, t0, False,
-                           "raising side fails at u=%d" % u0)
-        # lowering side: A(u) d/dp1 - q d/dp1 A(u) = -u C(u) on M_mu
-        lhs = SymFun.zero("p", bound, field)
-        for nu, _ in remove_box_positions(mu):
-            c = macops.pieri_down_coeff(nu, mu, field) * (a_val(nu, u0) - field.q * a_val(mu, u0))
-            lhs = lhs + convert(macdonald_M(nu, bound, field), "p").scale(c)
-        rhs = SymFun.zero("p", bound, field)
-        for j, piece in enumerate(pieces["C"]):
-            if piece.is_zero():
-                continue
-            rhs = rhs + piece.scale(field.one / pochhammer_u(u, j + 1, field))
-        rhs = rhs.scale(-u)
-        if lhs != rhs:
-            return _finish("corollary", params, t0, False,
-                           "lowering side fails at u=%d" % u0)
+        for side, kind, factor, neighbours in sides:
+            lhs = SymFun.zero("p", bound, field)
+            for nu, pieri, small, large in neighbours:
+                c = pieri * (a_val(small, u0) - field.q * a_val(large, u0))
+                lhs = lhs + convert(macdonald_M(nu, bound, field), "p").scale(c)
+            rhs = SymFun.zero("p", bound, field)
+            for j, piece in enumerate(pieces[kind]):
+                if piece.is_zero():
+                    continue
+                poch = pochhammer_u(u, j + 1, field)
+                if not poch:
+                    raise PoleAtSample("u=%d hits a factor of the expansion basis" % u0)
+                rhs = rhs + piece.scale(field.one / poch)
+            rhs = rhs.scale(-u * factor)
+            if lhs != rhs:
+                return _finish("corollary", params, t0, False,
+                               "%s side fails at u=%d" % (side, u0))
     return _finish("corollary", params, t0, True)
 
 
 # ---------------------------------------------------------------------------
 # the alternant identity
-
-def _vandermonde_xpoly(N, field, skip=None):
-    out = symfun.xpoly_one(N, field)
-    idx = [i for i in range(N) if i != skip]
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            ea = [0] * N
-            ea[idx[a]] = 1
-            eb = [0] * N
-            eb[idx[b]] = 1
-            out = out * XPoly(N, {tuple(ea): field.one, tuple(eb): -field.one}, field)
-    return out
-
 
 def _embed_skip(xp, N, skip):
     # relabel an (N-1)-variable polynomial onto the N slots avoiding `skip`
@@ -393,10 +372,8 @@ def _validate_alternant_decomposition(mu, n, N, total, field):
     b_mu = t_factors(mu, field=field).b
     for i in range(N):
         block = _embed_skip(expand_x(q_small), N, i).scale(b_mu)
-        delta = _vandermonde_xpoly(N, field, skip=i)
-        mono = [0] * N
-        mono[i] = N - 1 + n
-        piece = XPoly(N, {tuple(mono): field.one}, field) * delta * block
+        delta = _pair_product(N, -field.one, field, skip=i)
+        piece = XPoly(N, {_slot(N, i, N - 1 + n): field.one}, field) * delta * block
         rhs = rhs + piece if i % 2 == 0 else rhs - piece
     if lhs != rhs:
         e = _first_difference(lhs.coeffs, rhs.coeffs)
@@ -457,15 +434,21 @@ def check_decomposition(lam, N, i, field=SYMBOLIC):
         n = sum(lam) - sum(mu)
         b_mu = t_factors(mu, field=field).b
         block = _embed_skip(expand_x(hl_alternant(mu, N - 1, field)), N, i - 1).scale(b_mu)
-        mono = [0] * N
-        mono[i - 1] = n
-        rhs = rhs + XPoly(N, {tuple(mono): phi}, field) * block
+        rhs = rhs + XPoly(N, {_slot(N, i - 1, n): phi}, field) * block
     ok = lhs == rhs
     return _finish("decomposition", params, t0, ok, "expansion differs")
 
 
 # ---------------------------------------------------------------------------
 # the finite-N symbol identity
+
+def _accumulate(target, key, value):
+    # target[key] += value, for values with no zero to start from
+    if key in target:
+        target[key] = target[key] + value
+    else:
+        target[key] = value
+
 
 def _ts_mul(a, b, field, xcap, ycap):
     out = {}
@@ -478,10 +461,7 @@ def _ts_mul(a, b, field, xcap, ycap):
             prod = (xa * xb).total_degree_cap(xcap)
             if prod.is_zero():
                 continue
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
+            _accumulate(out, key, prod)
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
@@ -499,14 +479,9 @@ def check_finite_symbol(N, degree_bound, u_samples, field=SYMBOLIC):
     for i in range(N):
         entry = {empty: symfun.xpoly_one(N, field)}
         for n in range(1, D + 1):
-            mono = [0] * N
-            mono[i] = n
-            xp = XPoly(N, {tuple(mono): field.one}, field)
+            xp = XPoly(N, {_slot(N, i, n): field.one}, field)
             for alpha, c in rows[n - 1].coeffs.items():
-                if alpha in entry:
-                    entry[alpha] = entry[alpha] + xp.scale(c)
-                else:
-                    entry[alpha] = xp.scale(c)
+                _accumulate(entry, alpha, xp.scale(c))
         t_factors_by_var.append(entry)
     for u0 in u_samples:
         u = field.from_int(u0)
@@ -517,21 +492,13 @@ def check_finite_symbol(N, degree_bound, u_samples, field=SYMBOLIC):
             for i in range(N):
                 j = sigma[i] + 1
                 shift = -u * field.t ** (1 - j)
-                mono = [0] * N
-                mono[i] = N - j
-                xmono = XPoly(N, {tuple(mono): field.one}, field)
-                factor = {}
-                for alpha, xp in t_factors_by_var[i].items():
-                    factor[alpha] = xp
+                xmono = XPoly(N, {_slot(N, i, N - j): field.one}, field)
+                factor = dict(t_factors_by_var[i])
                 factor[empty] = factor[empty] + XPoly(N, {(0,) * N: shift}, field)
                 factor = {alpha: (xmono * xp).total_degree_cap(xcap) for alpha, xp in factor.items()}
                 prod = _ts_mul(prod, factor, field, xcap, D)
             for alpha, xp in prod.items():
-                piece = xp if sign > 0 else -xp
-                if alpha in det:
-                    det[alpha] = det[alpha] + piece
-                else:
-                    det[alpha] = piece
+                _accumulate(det, alpha, xp if sign > 0 else -xp)
         poch_n = pochhammer_u(u, N, field)
         lhs = {}
         for alpha, xp in det.items():
@@ -549,11 +516,7 @@ def check_finite_symbol(N, degree_bound, u_samples, field=SYMBOLIC):
                 qx = hl_alternant(lam, N, field).scale(b_lam / pochhammer_u(u, len(lam), field))
                 py = convert(hall_littlewood(lam, "P", field=field), "p")
                 for alpha, c in py.coeffs.items():
-                    piece = qx.scale(c)
-                    if alpha in rhs:
-                        rhs[alpha] = rhs[alpha] + piece
-                    else:
-                        rhs[alpha] = piece
+                    _accumulate(rhs, alpha, qx.scale(c))
         rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
         key = _first_difference(lhs, rhs)
         if key is not None:

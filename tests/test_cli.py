@@ -1,9 +1,12 @@
 import json
+import random
 
-from qtsym.cli import main, parse_expression
-from qtsym.partitions import Partition
-from qtsym.ratfun import parse_ratfun
-from qtsym.symfun import SymFun, clear_caches, convert, transition_matrix
+import pytest
+
+from qtsym.cli import main, parse_expression, render_plain
+from qtsym.partitions import Partition, enumerate_partitions
+from qtsym.ratfun import IntPoly2, ParseError, RatFun, parse_ratfun
+from qtsym.symfun import BASES, SymFun, clear_caches, convert, transition_matrix
 
 
 def run_cli(capsys, *argv):
@@ -155,6 +158,48 @@ def test_expression_mixed_bases_via_conversion():
     assert f == expected
 
 
+def test_expression_reports_end_of_input_position():
+    for text in ("p[1]+", "(p[1]"):
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert err.value.position == len(text) == 5
+
+
+def _random_ratfun(rng):
+    def poly():
+        return IntPoly2.from_terms(
+            {(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-4, 4) for _ in range(rng.randint(1, 3))}
+        )
+
+    den = poly()
+    while not den:
+        den = poly()
+    return RatFun(poly(), den)
+
+
+def test_render_parse_round_trip():
+    rng = random.Random(20261018)
+    gens = [lam for d in (1, 2, 3) for lam in enumerate_partitions(d)]
+    for basis in BASES:
+        for _ in range(8):
+            coeffs = {Partition(): _random_ratfun(rng)}
+            for lam in rng.sample(gens, rng.randint(1, 4)):
+                coeffs[lam] = _random_ratfun(rng)
+            f = SymFun(basis, coeffs, 3)
+            if f.max_degree() == 0:
+                continue
+            text = render_plain(f)
+            assert parse_expression(text) == f, text
+
+
+def _assert_cold_rebuild(path, written, matrix):
+    # a bad file is a cache miss: the matrix is recomputed and the file rewritten
+    clear_caches()
+    path.write_text(written)
+    assert transition_matrix("p", "m", 3) == matrix
+    assert json.loads(path.read_text())["degree"] == 3
+
+
 def test_cache_dir_persistence(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMFUN_CACHE_DIR", str(tmp_path))
     clear_caches()
@@ -164,5 +209,14 @@ def test_cache_dir_persistence(tmp_path, monkeypatch):
     clear_caches()
     second = transition_matrix("p", "m", 3)
     assert first == second
+    path = files[0]
+    good = path.read_text()
+    _assert_cold_rebuild(path, good[: len(good) // 2], first)
+    data = json.loads(good)
+    data["columns"] = data["columns"][1:]
+    _assert_cold_rebuild(path, json.dumps(data), first)
+    data = json.loads(good)
+    data["degree"] = 4
+    _assert_cold_rebuild(path, json.dumps(data), first)
     clear_caches()
     monkeypatch.delenv("SYMFUN_CACHE_DIR")
