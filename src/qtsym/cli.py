@@ -24,7 +24,7 @@ from .ratfun import (
     format_ratfun,
     random_point,
 )
-from .symfun import BASES, SymFun, convert, multiply, restrict, to_json_dict
+from .symfun import BASES, SymFun, clear_field_caches, convert, multiply, restrict, to_json_dict
 
 USAGE_ERROR = 2
 PRECONDITION_ERROR = 3
@@ -91,7 +91,7 @@ class _OperandParser(_Parser):
     def _pow(self, base, e, neg, pos):
         if isinstance(base, RatFun):
             return super()._pow(base, e, neg, pos)
-        if neg:
+        if neg and e:
             raise ParseError("negative powers apply to scalars only", pos)
         out = _as_symfun(R_ONE, base)
         for _ in range(e):
@@ -275,6 +275,7 @@ def cmd_verify(args):
                 reports.append(report)
             _, bad = verify.write_reports(reports, sys.stdout)
             failed += bad
+            clear_field_caches(point)
         return 1 if failed else 0
     _, failed = verify.write_reports(verify.run_suite(args.suite, config), sys.stdout)
     return 1 if failed else 0

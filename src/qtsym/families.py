@@ -25,16 +25,14 @@ from .ratfun import SYMBOLIC
 from . import symfun
 from .symfun import (
     NotDivisible,
-    NSymPoly,
     SingularTransition,
     SymFun,
     XPoly,
     _memo,
     _p_pairing,
     _pair_product,
-    antisymmetrize_to_schur,
+    alternant_quotient,
     axpy,
-    schur_in_m_limited,
 )
 
 
@@ -54,15 +52,12 @@ def hl_alternant(lam, N, field=SYMBOLIC):
         shifted = {}
         for e, c in t_deformed_vandermonde(N, field).coeffs.items():
             shifted[tuple(e[i] + pad[i] for i in range(N))] = c
-        acc = antisymmetrize_to_schur(XPoly(N, shifted, field))
         v = t_factors(lam, N=N, field=field).v
-        out = {}
-        for nu, c in acc.items():
-            axpy(out, schur_in_m_limited(nu, N, field), c / v)
+        out = alternant_quotient(XPoly(N, shifted, field)).scale(field.one / v)
         if field.is_symbolic:
-            for mu, c in out.items():
+            for mu, c in out.coeffs.items():
                 _require_z_t(c, "coefficient of %r" % (tuple(mu),))
-        return NSymPoly(N, out, field)
+        return out
 
     return _memo(("hl_alt", lam, N, field), build)
 
@@ -145,7 +140,7 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 def _macdonald_degree(degree, field):
     def build():
         lams = enumerate_partitions(degree)
-        m_to_p = symfun._m_to_basis_degree("p", degree, field)
+        m_to_p = symfun.transition_matrix("m", "p", degree, field)
         out_m = {}
         out_p = {}
         norms = {}

@@ -7,7 +7,6 @@ families with their one-box evaluations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
 from .partitions import (
     Partition,
@@ -17,15 +16,15 @@ from .partitions import (
     enumerate_partitions,
 )
 from .ratfun import SYMBOLIC
-from . import families, symfun
+from . import families
 from .symfun import (
     NotDivisible,
     NSymPoly,
     SymFun,
     XPoly,
     adjoint_apply,
+    alternant_quotient,
     convert,
-    divide_by_vandermonde,
     expand_x,
     p_multiply,
 )
@@ -128,26 +127,24 @@ class URat:
 # the finite-N operators
 
 def apply_DN(f, N=None):
-    """Coefficients of the u-polynomial D_N(u) f, as N-variable polynomials."""
+    """Coefficients of the u-polynomial D_N(u) f, as N-variable polynomials.
+
+    D_N(u) = a_delta^-1 sum_w eps(w) w(x^delta prod_i (1 - u t^-i T_{q,x_i})),
+    i = 0..N-1.  f is symmetric, so one alternant quotient per power of u
+    serves: on a monomial x^e of f the product is prod_i (1 - u q^(e_i) t^-i).
+    """
     N = f.N if N is None else N
     if N != f.N:
         raise ValueError("operand lives in %d variables, expected %d" % (f.N, N))
     field = f.field
-    xp = expand_x(f)
-    sums = [XPoly.zero(N, field) for _ in range(N + 1)]
-    perms = [(sigma, symfun._perm_sign(sigma)) for sigma in permutations(range(N))]
-    for size in range(N + 1):
-        for subset in combinations(range(N), size):
-            sset = set(subset)
-            h_terms = {}
-            for sigma, sign in perms:
-                e = tuple(N - 1 - sigma[i] for i in range(N))
-                tdeg = -sum(sigma[i] for i in subset)
-                coeff = field.from_int(sign) * field.t ** tdeg if tdeg else field.from_int(sign)
-                h_terms[e] = h_terms.get(e, field.zero) + coeff
-            h = XPoly(N, h_terms, field)
-            sums[size] = sums[size] + h * xp.q_shift(subset)
-    return [divide_by_vandermonde(g if size % 2 == 0 else -g) for size, g in enumerate(sums)]
+    delta = range(N - 1, -1, -1)
+    sums = [{} for _ in range(N + 1)]
+    for e, c in expand_x(f).coeffs.items():
+        shifted = tuple(a + b for a, b in zip(e, delta))
+        ys = _up_product(((field.one, -(field.q ** a * field.t ** (-i))) for i, a in enumerate(e)), field)
+        for size, y in enumerate(ys):
+            sums[size][shifted] = c * y
+    return [alternant_quotient(XPoly(N, g, field)) for g in sums]
 
 
 def _pochhammer_tail_upoly(k, N, field):

@@ -67,6 +67,12 @@ def clear_caches():
     _CACHE.clear()
 
 
+def clear_field_caches(field):
+    """Drop the memo entries of one scalar field; every key ends with its field."""
+    for key in [k for k in _CACHE if k[-1] == field]:
+        del _CACHE[key]
+
+
 def axpy(target, source, c):
     """target += c * source on coefficient dicts; the caller drops zeros."""
     for k, v in source.items():
@@ -258,26 +264,6 @@ def _basis_in_m(tag, lam, field):
     raise BasisMismatch("unknown basis tag %r" % (tag,))
 
 
-def _m_to_basis_degree(tag, degree, field):
-    """Express each m_lambda of the degree in the given basis."""
-
-    def build():
-        lams = enumerate_partitions(degree)
-        expansions = {lam: _basis_in_m(tag, lam, field) for lam in lams}
-        # p_lam has monomial support above lam in dominance, so its solve
-        # starts at the minimal partition; the family bases have support
-        # below and start at the maximal one
-        order = sorted(lams, key=grevlex_key)
-        if tag == "p":
-            order = list(reversed(order))
-        out = {}
-        for lam in lams:
-            out[lam] = _express_in_basis({lam: field.one}, expansions, order)
-        return out
-
-    return _memo(("m_to", tag, degree, field), build)
-
-
 def transition_matrix(frm, to, degree, field=SYMBOLIC):
     """Columns express the `frm` basis elements in the `to` basis."""
     if frm not in BASES or to not in BASES:
@@ -287,18 +273,20 @@ def transition_matrix(frm, to, degree, field=SYMBOLIC):
         cached = _load_cached_matrix(frm, to, degree, field)
         if cached is not None:
             return cached
-        out = {}
-        for lam in enumerate_partitions(degree):
-            if frm == to:
-                out[lam] = {lam: field.one}
-            elif to == "m":
-                out[lam] = dict(_basis_in_m(frm, lam, field))
-            else:
-                m_to = _m_to_basis_degree(to, degree, field)
-                col = {}
-                for mu, c in _basis_in_m(frm, lam, field).items():
-                    axpy(col, m_to[mu], c)
-                out[lam] = {nu: c for nu, c in col.items() if c}
+        lams = enumerate_partitions(degree)
+        if frm == to:
+            out = {lam: {lam: field.one} for lam in lams}
+        elif to == "m":
+            out = {lam: dict(_basis_in_m(frm, lam, field)) for lam in lams}
+        else:
+            expansions = {lam: _basis_in_m(to, lam, field) for lam in lams}
+            # p_lam has monomial support above lam in dominance, so its solve
+            # starts at the minimal partition; the family bases have support
+            # below and start at the maximal one
+            order = sorted(lams, key=grevlex_key)
+            if to == "p":
+                order.reverse()
+            out = {lam: _express_in_basis(_basis_in_m(frm, lam, field), expansions, order) for lam in lams}
         _store_cached_matrix(frm, to, degree, field, out)
         return out
 
@@ -661,18 +649,24 @@ def antisymmetrize_to_schur(xp):
     return {nu: c for nu, c in acc.items() if c}
 
 
+def alternant_quotient(xp):
+    """A(xp) / a_delta in the monomial basis, A the signed symmetrisation."""
+    out = {}
+    for nu, c in antisymmetrize_to_schur(xp).items():
+        axpy(out, schur_in_m_limited(nu, xp.N, xp.field), c)
+    return NSymPoly(xp.N, out, xp.field)
+
+
 def divide_by_vandermonde(xp):
     """Exact quotient of an alternating polynomial by the Vandermonde."""
     N = xp.N
-    field = xp.field
     groups = {}
     for e, c in xp.coeffs.items():
         if len(set(e)) < N:
             raise NotAlternating("term with a repeated exponent", witness=e)
         pattern = tuple(sorted(e, reverse=True))
         groups.setdefault(pattern, []).append((e, c))
-    delta = tuple(range(N - 1, -1, -1))
-    out = {}
+    canonical_terms = {}
     full = math.factorial(N)
     for pattern, entries in groups.items():
         canonical = dict(entries).get(pattern)
@@ -682,12 +676,8 @@ def divide_by_vandermonde(xp):
             expected = canonical if _descending_sign(e) > 0 else -canonical
             if c != expected:
                 raise NotAlternating("inconsistent signs on an orbit", witness=(pattern, e))
-        nu = Partition(x for x in (pattern[i] - delta[i] for i in range(N)) if x)
-        out[nu] = canonical
-    result = {}
-    for nu, c in out.items():
-        axpy(result, schur_in_m_limited(nu, N, field), c)
-    return NSymPoly(N, result, field)
+        canonical_terms[pattern] = canonical
+    return alternant_quotient(XPoly(N, canonical_terms, xp.field))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from qtsym.cli import main, parse_expression, render_plain
 from qtsym.partitions import Partition, enumerate_partitions
-from qtsym.ratfun import IntPoly2, ParseError, RatFun, parse_ratfun
+from qtsym import symfun
+from qtsym.ratfun import IntPoly2, ParseError, RatFun, parse_ratfun, random_point
 from qtsym.symfun import BASES, SymFun, clear_caches, convert, transition_matrix
 
 
@@ -137,6 +138,12 @@ def test_verify_numeric_mode(capsys):
     lines = out.strip().split("\n")
     points = {json.loads(l)["parameters"]["point"] for l in lines if "summary" not in json.loads(l)}
     assert len(points) == 2
+    # memo keys end with their field; a point's tables go once its reports
+    # are written, so many --points do not pile up tables
+    rng = random.Random(7)
+    sampled = {random_point(rng) for _ in range(2)}
+    held = [key for key in symfun._CACHE if any(part in sampled for part in key)]
+    assert not held, held[:3]
 
 
 def test_expression_grammar():
@@ -150,6 +157,10 @@ def test_expression_grammar():
     assert not k.is_zero()
     scalar_only = parse_expression("q^2 - 1")
     assert scalar_only == parse_ratfun("q^2-1")
+    # a zero exponent may carry a sign; other negative powers need a scalar
+    assert parse_expression("p[1]^-0") == parse_expression("p[1]^0") == SymFun("p", {Partition(): parse_ratfun("1")}, 0)
+    with pytest.raises(ParseError):
+        parse_expression("p[1]^-1")
 
 
 def test_expression_mixed_bases_via_conversion():

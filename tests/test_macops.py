@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -30,8 +31,12 @@ from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
 from qtsym.symfun import (
     NSymPoly,
     SymFun,
+    XPoly,
+    _perm_sign,
     convert,
+    divide_by_vandermonde,
     dp1,
+    expand_x,
     inner_product,
     p_multiply,
     restrict,
@@ -75,6 +80,39 @@ def test_DN_two_variables_on_m1():
     assert coeffs[0] == f
     assert coeffs[1] == f.scale(rf("-(q+1/t)"))
     assert coeffs[2] == f.scale(rf("q/t"))
+
+
+def _apply_DN_reference(f):
+    # the explicit construction: per subset I, the N!-term alternant
+    # sum_sigma sign(sigma) x^(delta o sigma) t^(-sum_{i in I} sigma(i)) times
+    # T_{q,I} f, then the validating quotient by the Vandermonde
+    N, field = f.N, f.field
+    xp = expand_x(f)
+    sums = [XPoly.zero(N, field) for _ in range(N + 1)]
+    for size in range(N + 1):
+        for subset in combinations(range(N), size):
+            h = {}
+            for sigma in permutations(range(N)):
+                e = tuple(N - 1 - sigma[i] for i in range(N))
+                c = field.from_int(_perm_sign(sigma)) * field.t ** (-sum(sigma[i] for i in subset))
+                h[e] = h.get(e, field.zero) + c
+            sums[size] = sums[size] + XPoly(N, h, field) * xp.q_shift(subset)
+    return [divide_by_vandermonde(g if size % 2 == 0 else -g) for size, g in enumerate(sums)]
+
+
+def test_DN_matches_explicit_alternant_construction():
+    coeff = rf("(1-q*t)/(1-t^2)")
+    for N in range(1, 5):
+        lams = [lam for w in range(4) for lam in enumerate_partitions(w, max_length=N)]
+        for lam, mu in zip(lams, lams[1:]):
+            for f in (NSymPoly(N, {lam: one}), NSymPoly(N, {lam: one, mu: coeff})):
+                assert apply_DN(f) == _apply_DN_reference(f), (N, f)
+    point = random_point(random.Random(20261018))
+    for N in range(1, 5):
+        for w in range(5):
+            for lam in enumerate_partitions(w, max_length=N):
+                f = restrict(macdonald_M(lam, field=point), N)
+                assert apply_DN(f) == _apply_DN_reference(f), (N, lam)
 
 
 def test_deigen_small_sweep():

@@ -26,3 +26,25 @@ def test_ratfun_imports_no_other_qtsym_module():
         elif isinstance(node, ast.Import):
             found.extend("line %d: import %s" % (node.lineno, a.name) for a in node.names if a.name.startswith("qtsym"))
     assert not found, found
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                bound[(a.asname or a.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ["%s:%d %s" % (path.name, line, name) for name, line in bound.items() if name not in used]
+
+
+def test_library_module_imports_are_used():
+    # __init__ re-exports its imports; every other module uses what it imports
+    found = []
+    for path in sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            found.extend(_unused_imports(path))
+    assert not found, found

@@ -12,6 +12,7 @@ from qtsym.symfun import (
     SymFun,
     XPoly,
     adjoint_apply,
+    axpy,
     collect_symmetric,
     convert,
     divide_by_vandermonde,
@@ -79,6 +80,14 @@ def _assert_round_trip(a, b, d):
                 acc[nu] = acc.get(nu, F.zero) + c * e
         acc = {k: v for k, v in acc.items() if v}
         assert acc == {lam: one}, (a, b, lam)
+    # the defining property: each column re-expanded in m is the a element
+    a_m = transition_matrix(a, "m", d)
+    b_m = transition_matrix(b, "m", d)
+    for lam, col in ab.items():
+        acc = {}
+        for mu, c in col.items():
+            axpy(acc, b_m[mu], c)
+        assert {k: v for k, v in acc.items() if v} == a_m[lam], (a, b, lam)
 
 
 def test_transition_round_trips():
