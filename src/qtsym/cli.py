@@ -218,6 +218,8 @@ def cmd_apply(args):
     if args.op == "DN":
         if args.N is None:
             raise CliError("the determinantal operator needs --N", PRECONDITION_ERROR)
+        if args.N < 0:
+            raise CliError("--N must be nonnegative", PRECONDITION_ERROR)
         nsp = restrict(f, args.N)
         coeffs = macops.apply_DN(nsp, args.N)
         to = args.to or "m"
@@ -248,6 +250,8 @@ def _verify_config(args):
     for name in ("max_degree", "max_k", "max_weight", "N", "degree"):
         value = getattr(args, name)
         if value is not None:
+            if value < 0:
+                raise CliError("--%s must be nonnegative" % name.replace("_", "-"), PRECONDITION_ERROR)
             config[name] = value
     if args.u_samples:
         try:
@@ -261,6 +265,8 @@ def cmd_verify(args):
     if args.suite not in tuple(verify.SUITES) + ("all",):
         raise CliError("unknown suite %r" % args.suite, USAGE_ERROR)
     config = _verify_config(args)
+    if args.points < 1:
+        raise CliError("--points must be at least 1", PRECONDITION_ERROR)
     if args.mode == "numeric":
         if args.seed is None:
             raise CliError("numeric mode requires --seed", PRECONDITION_ERROR)

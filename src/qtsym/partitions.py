@@ -1,4 +1,5 @@
-"""Partition combinatorics: enumeration, conjugation, dominance, statistics.
+"""Partition combinatorics: enumeration, conjugation, dominance, statistics,
+and the integer tables built by adding parts (Kostka numbers, power sums).
 
 Partitions are value types: validated tuples of weakly decreasing positive
 integers, so they hash and compare like plain tuples and never carry
@@ -229,6 +230,47 @@ def horizontal_strip(lam, mu):
         if not (li >= mi >= l_next):
             return False
     return True
+
+
+def push_parts(parts, step):
+    """Push {EMPTY: 1} through `step` once for each part n of `parts`.
+
+    `step(rho, n)` yields pairs (nu, w) of integer weight w; the result maps
+    each nu reached to the sum over paths of the product of their weights.
+    """
+    row = {EMPTY: 1}
+    for n in parts:
+        out = {}
+        for rho, c in row.items():
+            for nu, w in step(rho, n):
+                out[nu] = out.get(nu, 0) + c * w
+        row = out
+    return row
+
+
+def kostka_step(rho, n):
+    """Each nu with nu/rho a horizontal strip of n boxes, with weight 1.
+
+    Pushed over the parts of mu this gives the Kostka column {nu: K_(nu,mu)}.
+    """
+    for nu in enumerate_partitions(sum(rho) + n, max_length=len(rho) + 1):
+        if horizontal_strip(nu, rho):
+            yield nu, 1
+
+
+def power_sum_step(rho, n):
+    """Add n to one part of rho of value v, where v = 0 makes a new part.
+
+    The weight, the multiplicity of v + n in the result, is the coefficient
+    of m_nu in p_n m_rho: pushed over the parts of lam this gives
+    p_lam = sum R_(lam,mu) m_mu as {mu: R_(lam,mu)}.
+    """
+    for v in dict.fromkeys(rho + (0,)):
+        rest = list(rho)
+        if v:
+            rest.remove(v)
+        nu = Partition(sorted(rest + [v + n], reverse=True))
+        yield nu, nu.count(v + n)
 
 
 def box_added_index(lam, mu):

@@ -2,9 +2,12 @@
 
 Elements are sparse basis-tagged expansions (partition -> coefficient).
 Supported bases: monomial 'm', power sum 'p', Schur 's', Hall-Littlewood
-'P' and 'Q', Macdonald 'M'.  The single trusted conversion primitive is
-the power-sum expansion in d variables for degree d; every other basis
-change is composed from it and from the family constructors.
+'P' and 'Q', Macdonald 'M'.  Every basis change goes through monomial
+expansions.  Those of p_lam and s_nu are integer tables (R_(lam,mu) by
+adding parts, Kostka numbers by horizontal strips, built in `partitions`)
+lifted to the scalar field once per degree; the family constructors give
+the others, and a change between two bases other than 'm' is one
+triangular solve.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import permutations
 
 from .partitions import (
     Partition,
     enumerate_partitions,
     grevlex_key,
+    kostka_step,
     multiplicities,
+    power_sum_step,
+    push_parts,
     stats,
     union,
 )
@@ -217,13 +222,7 @@ def _p_to_m_degree(degree, field):
     def build():
         out = {}
         for lam in enumerate_partitions(degree):
-            if degree == 0:
-                out[lam] = {lam: field.one}
-                continue
-            xp = xpoly_one(degree, field)
-            for part in lam:
-                xp = xp * power_sum_xpoly(part, degree, field)
-            out[lam] = collect_symmetric(xp).coeffs
+            out[lam] = {mu: field.from_int(r) for mu, r in push_parts(lam, power_sum_step).items()}
         return out
 
     return _memo(("p_to_m", degree, field), build)
@@ -451,10 +450,6 @@ class NSymPoly(_Sparse):
     def _space(self):
         return self.N
 
-    @classmethod
-    def zero(cls, N, field=SYMBOLIC):
-        return cls(N, {}, field)
-
     def set_last_zero(self):
         out = {k: c for k, c in self.coeffs.items() if len(k) < self.N}
         return NSymPoly(self.N - 1, out, self.field)
@@ -499,10 +494,6 @@ class XPoly(_Sparse):
     def zero(cls, N, field=SYMBOLIC):
         return cls(N, {}, field)
 
-    @classmethod
-    def monomial(cls, N, exponents, coeff, field=SYMBOLIC):
-        return cls(N, {tuple(exponents): coeff}, field)
-
     def __mul__(self, other):
         out = {}
         zero = self.field.zero
@@ -525,15 +516,6 @@ class XPoly(_Sparse):
             out[tuple(ne)] = c
         return XPoly(self.N, out, self.field)
 
-    def q_shift(self, subset):
-        """Scale x_i -> q x_i for the 0-based variable indices in `subset`."""
-        q = self.field.q
-        out = {}
-        for e, c in self.coeffs.items():
-            d = sum(e[i] for i in subset)
-            out[e] = c * q ** d if d else c
-        return XPoly(self.N, out, self.field)
-
     def total_degree_cap(self, cap):
         return XPoly(self.N, {e: c for e, c in self.coeffs.items() if sum(e) <= cap}, self.field)
 
@@ -550,10 +532,6 @@ def _slot(N, i, n=1):
     e = [0] * N
     e[i] = n
     return tuple(e)
-
-
-def power_sum_xpoly(n, N, field=SYMBOLIC):
-    return XPoly(N, {_slot(N, i, n): field.one for i in range(N)}, field)
 
 
 def _pair_product(N, c, field, skip=None):
@@ -653,7 +631,7 @@ def alternant_quotient(xp):
     """A(xp) / a_delta in the monomial basis, A the signed symmetrisation."""
     out = {}
     for nu, c in antisymmetrize_to_schur(xp).items():
-        axpy(out, schur_in_m_limited(nu, xp.N, xp.field), c)
+        axpy(out, {mu: k for mu, k in schur_in_m(nu, xp.field).items() if len(mu) <= xp.N}, c)
     return NSymPoly(xp.N, out, xp.field)
 
 
@@ -681,38 +659,21 @@ def divide_by_vandermonde(xp):
 
 
 # ---------------------------------------------------------------------------
-# Schur expansions (used by the Vandermonde quotient and the 's' basis)
+# Schur expansions (used by the alternant quotient and the 's' basis)
 
-def _h_in_p(n, field):
+def schur_in_m(nu, field=SYMBOLIC):
+    """Monomial expansion of a Schur function: {mu: K_(nu,mu)}."""
+    nu = Partition(nu)
+
     def build():
-        out = {}
-        for lam in enumerate_partitions(n):
-            out[lam] = field.from_fraction(1) / field.from_int(stats(lam).z)
+        lams = enumerate_partitions(sum(nu))
+        out = {lam: {} for lam in lams}
+        for mu in lams:
+            for lam, k in push_parts(mu, kostka_step).items():
+                out[lam][mu] = field.from_int(k)
         return out
 
-    return _memo(("h_p", n, field), build)
-
-
-def schur_in_p(nu, field=SYMBOLIC):
-    """Power-sum expansion of a Schur function, via the h-determinant."""
-
-    def build():
-        ell = len(nu)
-        degree = sum(nu)
-        rows = [[nu[i] - i + j for j in range(ell)] for i in range(ell)]
-        acc = SymFun.zero("p", degree, field)
-        for sigma in permutations(range(ell)):
-            degrees = [rows[i][sigma[i]] for i in range(ell)]
-            if any(d < 0 for d in degrees):
-                continue
-            prod = SymFun.generator("p", (), degree, field)
-            for d in degrees:
-                if d:
-                    prod = p_multiply(prod, SymFun("p", _h_in_p(d, field), d, field), degree)
-            acc = acc + prod if _perm_sign(sigma) > 0 else acc - prod
-        return acc.coeffs
-
-    return _memo(("s_p", Partition(nu), field), build)
+    return _memo(("s_m", sum(nu), field), build)[nu]
 
 
 def _perm_sign(sigma):
@@ -730,24 +691,6 @@ def _perm_sign(sigma):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def schur_in_m(nu, field=SYMBOLIC):
-    def build():
-        nu_p = Partition(nu)
-        degree = sum(nu_p)
-        p_to_m = _p_to_m_degree(degree, field)
-        out = {}
-        for lam, c in schur_in_p(nu_p, field).items():
-            axpy(out, p_to_m[lam], c)
-        return {mu: c for mu, c in out.items() if c}
-
-    return _memo(("s_m", Partition(nu), field), build)
-
-
-def schur_in_m_limited(nu, N, field=SYMBOLIC):
-    """Monomial expansion of a Schur polynomial in N variables."""
-    return {mu: c for mu, c in schur_in_m(nu, field).items() if len(mu) <= N}
 
 
 # ---------------------------------------------------------------------------

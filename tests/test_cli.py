@@ -115,6 +115,30 @@ def test_exit_code_precondition(capsys):
     assert code == 3
 
 
+def test_exit_code_out_of_range_verify_options(capsys):
+    # each bad value is refused before any check runs, naming its option
+    cases = [
+        (("verify", "theorem", "--mode", "numeric", "--seed", "1", "--points", "0"), "--points"),
+        (("verify", "theorem", "--max-degree", "-1"), "--max-degree"),
+        (("verify", "deigen", "--N", "-1"), "--N"),
+        (("verify", "kernel", "--max-k", "-2"), "--max-k"),
+        (("verify", "deigen", "--max-weight", "-1"), "--max-weight"),
+        (("verify", "finite-symbol", "--degree", "-3"), "--degree"),
+    ]
+    for argv, option in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert option in err, argv
+
+
+def test_exit_code_negative_alphabet_size(capsys):
+    code, out, err = run_cli(capsys, "apply", "--op", "DN", "--N", "-1", "--to-expr", "m[1]")
+    assert (code, out) == (3, "")
+    assert "--N" in err
+    code, out, _ = run_cli(capsys, "apply", "--op", "DN", "--N", "0", "--to-expr", "m[1]")
+    assert (code, out.strip()) == (0, "u^0: 0")
+
+
 def test_exit_code_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2

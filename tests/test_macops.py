@@ -82,6 +82,15 @@ def test_DN_two_variables_on_m1():
     assert coeffs[2] == f.scale(rf("q/t"))
 
 
+def _q_shift(xp, subset):
+    # x_i -> q x_i for the 0-based variable indices in subset
+    out = {}
+    for e, c in xp.coeffs.items():
+        d = sum(e[i] for i in subset)
+        out[e] = c * xp.field.q ** d
+    return XPoly(xp.N, out, xp.field)
+
+
 def _apply_DN_reference(f):
     # the explicit construction: per subset I, the N!-term alternant
     # sum_sigma sign(sigma) x^(delta o sigma) t^(-sum_{i in I} sigma(i)) times
@@ -96,7 +105,7 @@ def _apply_DN_reference(f):
                 e = tuple(N - 1 - sigma[i] for i in range(N))
                 c = field.from_int(_perm_sign(sigma)) * field.t ** (-sum(sigma[i] for i in subset))
                 h[e] = h.get(e, field.zero) + c
-            sums[size] = sums[size] + XPoly(N, h, field) * xp.q_shift(subset)
+            sums[size] = sums[size] + XPoly(N, h, field) * _q_shift(xp, subset)
     return [divide_by_vandermonde(g if size % 2 == 0 else -g) for size, g in enumerate(sums)]
 
 

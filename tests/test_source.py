@@ -48,3 +48,35 @@ def test_library_module_imports_are_used():
         if path.name != "__init__.py":
             found.extend(_unused_imports(path))
     assert not found, found
+
+
+def _references(tree):
+    # (name, line) for every identifier read, attribute taken or name imported
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                yield a.name, node.lineno
+
+
+def test_every_library_definition_is_named_elsewhere():
+    # a deleted path must not leave an orphan function or class behind
+    library = sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py"))
+    sources = library + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    named = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            named.setdefault(name, []).append((path, line))
+    found = []
+    for path in library:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not any(
+                other != path or not node.lineno <= line <= node.end_lineno
+                for other, line in named.get(node.name, ())
+            ):
+                found.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert not found, found

@@ -1,9 +1,11 @@
+import math
 import random
+from itertools import permutations
 
 import pytest
 
-from qtsym.partitions import Partition, enumerate_partitions, partitions_up_to
-from qtsym.ratfun import SYMBOLIC, parse_ratfun
+from qtsym.partitions import Partition, conjugate, dominates, enumerate_partitions, partitions_up_to, stats
+from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
 from qtsym.symfun import (
     BasisMismatch,
     NotAlternating,
@@ -11,6 +13,7 @@ from qtsym.symfun import (
     NSymPoly,
     SymFun,
     XPoly,
+    _perm_sign,
     adjoint_apply,
     axpy,
     collect_symmetric,
@@ -287,3 +290,71 @@ def test_schur_in_m_classical():
     assert schur_in_m(P(2)) == {P(2): one, P(1, 1): one}
     assert schur_in_m(P(1, 1)) == {P(1, 1): one}
     assert schur_in_m(P(2, 1)) == {P(2, 1): one, P(1, 1, 1): rf("2")}
+
+
+# Independent oracles for the integer tables behind the 'p' and 's' bases:
+# power sums multiplied out in as many variables as the degree, and the
+# Jacobi-Trudi h-determinant over all permutations.
+
+
+def _p_to_m_reference(degree, field):
+    out = {}
+    for lam in enumerate_partitions(degree):
+        xp = XPoly(degree, {(0,) * degree: field.one}, field)
+        for part in lam:
+            slots = [tuple(part if j == i else 0 for j in range(degree)) for i in range(degree)]
+            xp = xp * XPoly(degree, dict.fromkeys(slots, field.one), field)
+        out[lam] = collect_symmetric(xp).coeffs
+    return out
+
+
+def _schur_reference(nu, field):
+    ell, degree = len(nu), sum(nu)
+
+    def h_in_p(n):
+        return SymFun("p", {lam: field.one / field.from_int(stats(lam).z) for lam in enumerate_partitions(n)}, n, field)
+
+    acc = SymFun.zero("p", degree, field)
+    for sigma in permutations(range(ell)):
+        prod = SymFun.generator("p", (), degree, field)
+        for i in range(ell):
+            d = nu[i] - i + sigma[i]
+            if d < 0:
+                break
+            prod = p_multiply(prod, h_in_p(d), degree)
+        else:
+            acc = acc + prod if _perm_sign(sigma) > 0 else acc - prod
+    p_to_m = _p_to_m_reference(degree, field)
+    out = {}
+    for lam, c in acc.coeffs.items():
+        axpy(out, p_to_m[lam], c)
+    return {mu: c for mu, c in out.items() if c}
+
+
+@pytest.mark.parametrize("field", [F, random_point(random.Random(20261018))], ids=["symbolic", "numeric"])
+def test_p_and_s_tables_match_the_oracles(field):
+    for d in range(7):
+        assert transition_matrix("p", "m", d, field) == _p_to_m_reference(d, field), d
+        expected = {nu: _schur_reference(nu, field) for nu in enumerate_partitions(d)}
+        assert transition_matrix("s", "m", d, field) == expected, d
+
+
+def _hook_count(nu):
+    # f^nu, the number of standard tableaux, by the hook length formula
+    hooks = 1
+    conj = conjugate(nu)
+    for i, row in enumerate(nu):
+        for j in range(row):
+            hooks *= row - j + conj[j] - i - 1
+    return math.factorial(sum(nu)) // hooks
+
+
+def test_kostka_numbers_classical():
+    # K_(nu,1^n) = f^nu, K_(nu,nu) = 1, and K_(nu,mu) = 0 unless nu >= mu
+    for d in range(9):
+        s_m = transition_matrix("s", "m", d)
+        for nu in enumerate_partitions(d):
+            row = s_m[nu]
+            assert row.get(P(*[1] * d)) == F.from_int(_hook_count(nu)), nu
+            assert row[nu] == one, nu
+            assert all(dominates(nu, mu) for mu in row), nu
