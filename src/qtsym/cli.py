@@ -258,6 +258,10 @@ def _verify_config(args):
             config["u_samples"] = tuple(int(x) for x in args.u_samples.split(","))
         except ValueError:
             raise CliError("bad --u-samples list", USAGE_ERROR)
+        for u0 in config["u_samples"]:
+            # u = 1 is a pole of 1/(u;1/t)_k, and at u = 0 both sides vanish
+            if u0 in (0, 1):
+                raise CliError("--u-samples %d: samples must avoid 0 and 1" % u0, PRECONDITION_ERROR)
     return config
 
 

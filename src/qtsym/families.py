@@ -1,6 +1,11 @@
 """Constructors for the classical families: Hall-Littlewood P and Q,
 Schur, Macdonald, the Green transition table, and the one-row generating
 series with its multiplication coefficients.
+
+The Macdonald functions are the eigenvectors of D^1, the first-order
+Macdonald operator, solved triangularly over the monomials from an
+integer table of D^1 (Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. VI Sections 3-4).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .partitions import (
     enumerate_partitions,
     grevlex_key,
     horizontal_strip,
+    kostka_rows,
     multiplicities,
     t_factors,
     union,
@@ -28,11 +34,11 @@ from .symfun import (
     SingularTransition,
     SymFun,
     XPoly,
+    _alternant_index,
+    _distinct_permutations,
     _memo,
-    _p_pairing,
     _pair_product,
     alternant_quotient,
-    axpy,
 )
 
 
@@ -135,38 +141,93 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 
 
 # ---------------------------------------------------------------------------
-# Macdonald functions via Gram-Schmidt
+# Macdonald functions as eigenvectors of D^1
+
+def _d1_table(degree):
+    """D^1, the u^1 coefficient of D_N(u) at N = degree, on monomials, as
+    integers: {nu: {mu: {(a, i): n}}}, the m_mu coefficient of D^1 m_nu
+    being -sum n q^a t^-i.
+
+    On x^e, e a permutation of nu, D^1 reads -sum_i q^(e_i) t^-i times
+    A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each
+    s_rho to monomials.
+    """
+    N = degree
+    kostka = kostka_rows(degree)
+    table = {}
+    for nu in kostka:
+        by_schur = {}
+        for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
+            index = _alternant_index(tuple(x + N - 1 - i for i, x in enumerate(e)))
+            if index is None:
+                continue
+            sign, rho = index
+            pairs = by_schur.setdefault(rho, {})
+            for key in zip(e, range(N)):
+                pairs[key] = pairs.get(key, 0) + sign
+        column = {}
+        for rho, pairs in by_schur.items():
+            for mu, k in kostka[rho].items():
+                entry = column.setdefault(mu, {})
+                for key, n in pairs.items():
+                    entry[key] = entry.get(key, 0) + k * n
+        column = {mu: {key: n for key, n in entry.items() if n} for mu, entry in column.items()}
+        table[nu] = {mu: entry for mu, entry in column.items() if entry}
+    return table
+
+
+def _d1_matrix(degree, field):
+    """The table of `_d1_table` over the field, each column checked to lie
+    in the lower order ideal of its nu."""
+    N = degree
+    # q^a t^(N-1-i) are polynomials, so their sums need no gcd
+    qt = [[field.q ** a * field.t ** j for j in range(N)] for a in range(degree + 1)]
+    scale = -(field.t ** (1 - N))
+    out = {}
+    for nu, column in _d1_table(degree).items():
+        out[nu] = {}
+        for mu, entry in column.items():
+            if not dominates(nu, mu):
+                raise SingularTransition(
+                    "D^1 m_%r touches m_%r, outside the lower order ideal" % (tuple(nu), tuple(mu))
+                )
+            total = field.zero
+            for (a, i), n in entry.items():
+                total = total + field.from_int(n) * qt[a][N - 1 - i]
+            out[nu][mu] = total * scale
+    return out
+
 
 def _macdonald_degree(degree, field):
+    """{lam: c} with M_lam = sum_mu c[mu] m_mu, the eigenvectors of D^1.
+
+    D^1 is triangular on monomials with diagonal d, so
+    c[mu] (d_lam - d_mu) = sum over mu < nu <= lam of c[nu] D^1_(mu,nu),
+    solved for mu in descending dominance.
+    """
     def build():
-        lams = enumerate_partitions(degree)
-        m_to_p = symfun.transition_matrix("m", "p", degree, field)
-        out_m = {}
-        out_p = {}
-        norms = {}
-        for lam in sorted(lams, key=grevlex_key, reverse=True):
-            # ascending dominance: reverse of the canonical enumeration order
-            vec_m = {lam: field.one}
-            vec_p = dict(m_to_p[lam])
-            for mu in out_p:
-                c = _p_pairing(vec_p, out_p[mu], field)
-                if not c:
-                    continue
-                c = -c / norms[mu]
-                axpy(vec_m, out_m[mu], c)
-                axpy(vec_p, out_p[mu], c)
-            vec_m = {mu: c for mu, c in vec_m.items() if c}
-            vec_p = {mu: c for mu, c in vec_p.items() if c}
-            for mu in vec_m:
+        d1 = _d1_matrix(degree, field)
+        order = sorted(d1, key=grevlex_key)
+        out = {}
+        for pos, lam in enumerate(order):
+            vec = {lam: field.one}
+            for mu in order[pos + 1:]:
                 if not dominates(lam, mu):
+                    continue
+                gap = d1[lam][lam] - d1[mu][mu]
+                if not gap:
                     raise SingularTransition(
-                        "Macdonald expansion of %r touches %r, outside the lower order ideal"
-                        % (tuple(lam), tuple(mu))
+                        "D^1 eigenvalues of %r and %r coincide" % (tuple(lam), tuple(mu))
                     )
-            out_m[lam] = vec_m
-            out_p[lam] = vec_p
-            norms[lam] = _p_pairing(vec_p, vec_p, field)
-        return out_m
+                total = field.zero
+                for nu, c in vec.items():
+                    entry = d1[nu].get(mu)
+                    if entry is not None:
+                        total = total + c * entry
+                if total:
+                    vec[mu] = total / gap
+            out[lam] = vec
+        return out
 
     return _memo(("macdonald", degree, field), build)
 

@@ -258,6 +258,16 @@ def kostka_step(rho, n):
             yield nu, 1
 
 
+def kostka_rows(degree):
+    """{nu: {mu: K_(nu,mu)}} over the partitions of `degree`: the Kostka
+    columns of `kostka_step` read as rows, nonzero entries only."""
+    out = {nu: {} for nu in enumerate_partitions(degree)}
+    for mu in out:
+        for nu, k in push_parts(mu, kostka_step).items():
+            out[nu][mu] = k
+    return out
+
+
 def power_sum_step(rho, n):
     """Add n to one part of rho of value v, where v = 0 makes a new part.
 

@@ -20,7 +20,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     grevlex_key,
-    kostka_step,
+    kostka_rows,
     multiplicities,
     power_sum_step,
     push_parts,
@@ -606,24 +606,30 @@ def _descending_sign(e):
     return -1 if inv & 1 else 1
 
 
+def _alternant_index(e):
+    """(sign, nu) with A(x^e) = sign * a_(nu + delta), A the signed
+    symmetrisation; None when e repeats an exponent and A(x^e) vanishes."""
+    N = len(e)
+    if len(set(e)) < N:
+        return None
+    pattern = sorted(e, reverse=True)
+    return _descending_sign(e), Partition(x for x in (pattern[i] - (N - 1 - i) for i in range(N)) if x)
+
+
 def antisymmetrize_to_schur(xp):
     """Schur coefficients of (signed symmetrisation of xp) / Vandermonde.
 
     Terms with a repeated exponent die under alternation; each surviving
     term lands on the strictly decreasing pattern it sorts to.
     """
-    N = xp.N
-    delta = tuple(range(N - 1, -1, -1))
     zero = xp.field.zero
     acc = {}
     for e, c in xp.coeffs.items():
-        if len(set(e)) < N:
+        index = _alternant_index(e)
+        if index is None:
             continue
-        pattern = tuple(sorted(e, reverse=True))
-        if _descending_sign(e) < 0:
-            c = -c
-        nu = Partition(x for x in (pattern[i] - delta[i] for i in range(N)) if x)
-        acc[nu] = acc.get(nu, zero) + c
+        sign, nu = index
+        acc[nu] = acc.get(nu, zero) + (c if sign > 0 else -c)
     return {nu: c for nu, c in acc.items() if c}
 
 
@@ -666,12 +672,8 @@ def schur_in_m(nu, field=SYMBOLIC):
     nu = Partition(nu)
 
     def build():
-        lams = enumerate_partitions(sum(nu))
-        out = {lam: {} for lam in lams}
-        for mu in lams:
-            for lam, k in push_parts(mu, kostka_step).items():
-                out[lam][mu] = field.from_int(k)
-        return out
+        rows = kostka_rows(sum(nu))
+        return {lam: {mu: field.from_int(k) for mu, k in row.items()} for lam, row in rows.items()}
 
     return _memo(("s_m", sum(nu), field), build)[nu]
 

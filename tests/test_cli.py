@@ -131,6 +131,21 @@ def test_exit_code_out_of_range_verify_options(capsys):
         assert option in err, argv
 
 
+def test_exit_code_u_samples_zero_or_one(capsys):
+    # u = 1 is a pole of 1/(u;1/t)_k; at u = 0 both sides vanish, so it certifies nothing
+    cases = [
+        (("verify", "corollary", "--u-samples", "1"), "1"),
+        (("verify", "corollary", "--u-samples", "0"), "0"),
+        (("verify", "corollary", "--u-samples", "2,1,3"), "1"),
+        (("verify", "finite-symbol", "--u-samples", "1"), "1"),
+        (("verify", "all", "--u-samples", "0,2"), "0"),
+    ]
+    for argv, value in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert "--u-samples %s:" % value in err, (argv, err)
+
+
 def test_exit_code_negative_alphabet_size(capsys):
     code, out, err = run_cli(capsys, "apply", "--op", "DN", "--N", "-1", "--to-expr", "m[1]")
     assert (code, out) == (3, "")

@@ -1,32 +1,45 @@
+import random
+from fractions import Fraction
+
 import pytest
 
+from qtsym import families, symfun
 from qtsym.families import (
     green_table,
     hall_littlewood,
     hl_alternant,
     hl_in_m,
+    macdonald_in_m,
     macdonald_M,
     morris_phi,
     psi_coeff,
     q_row_series,
     schur,
 )
+from qtsym.macops import apply_DN
 from qtsym.partitions import (
     LengthExceedsN,
     Partition,
+    dominates,
     enumerate_partitions,
+    grevlex_key,
     partitions_up_to,
     stats,
     t_factors,
 )
-from qtsym.ratfun import SYMBOLIC, parse_ratfun
+from qtsym.ratfun import SYMBOLIC, NumericField, parse_ratfun, random_point
 from qtsym.symfun import (
     NSymPoly,
+    SingularTransition,
     SymFun,
+    _p_pairing,
+    axpy,
+    clear_field_caches,
     convert,
     dp1,
     inner_product,
     p_multiply,
+    restrict,
 )
 
 F = SYMBOLIC
@@ -181,8 +194,6 @@ def test_macdonald_specializes_to_hl():
 
 
 def test_macdonald_orthogonal_and_triangular():
-    from qtsym.partitions import dominates
-
     for d in range(7):
         lams = enumerate_partitions(d)
         ms = {lam: macdonald_M(lam) for lam in lams}
@@ -193,6 +204,110 @@ def test_macdonald_orthogonal_and_triangular():
         for i, lam in enumerate(lams):
             for mu in lams[i + 1:]:
                 assert not inner_product(ms[lam], ms[mu])
+
+
+def _gram_schmidt_reference(degree, field):
+    # the former library build: Gram-Schmidt in ascending dominance over the
+    # (q,t) inner product, paired in the p basis
+    lams = enumerate_partitions(degree)
+    m_to_p = symfun.transition_matrix("m", "p", degree, field)
+    out_m = {}
+    out_p = {}
+    norms = {}
+    for lam in sorted(lams, key=grevlex_key, reverse=True):
+        # ascending dominance: reverse of the canonical enumeration order
+        vec_m = {lam: field.one}
+        vec_p = dict(m_to_p[lam])
+        for mu in out_p:
+            c = _p_pairing(vec_p, out_p[mu], field)
+            if not c:
+                continue
+            c = -c / norms[mu]
+            axpy(vec_m, out_m[mu], c)
+            axpy(vec_p, out_p[mu], c)
+        vec_m = {mu: c for mu, c in vec_m.items() if c}
+        vec_p = {mu: c for mu, c in vec_p.items() if c}
+        for mu in vec_m:
+            if not dominates(lam, mu):
+                raise SingularTransition(
+                    "Macdonald expansion of %r touches %r, outside the lower order ideal"
+                    % (tuple(lam), tuple(mu))
+                )
+        out_m[lam] = vec_m
+        out_p[lam] = vec_p
+        norms[lam] = _p_pairing(vec_p, vec_p, field)
+    return out_m
+
+
+def _assert_matches_gram_schmidt(degree, field):
+    expected = _gram_schmidt_reference(degree, field)
+    for lam in enumerate_partitions(degree):
+        assert macdonald_in_m(lam, field) == expected[lam], (degree, lam, field)
+
+
+def test_macdonald_matches_gram_schmidt_symbolic():
+    for degree in range(7):
+        _assert_matches_gram_schmidt(degree, F)
+
+
+def test_macdonald_matches_gram_schmidt_at_sample_points():
+    rng = random.Random(20261018)
+    for _ in range(2):
+        point = random_point(rng)
+        try:
+            for degree in range(8):
+                _assert_matches_gram_schmidt(degree, point)
+        finally:
+            clear_field_caches(point)
+
+
+def test_d1_columns_match_apply_DN():
+    # the integer table against multiplying out every power of u
+    for d in range(1, 6):
+        matrix = families._d1_matrix(d, F)
+        for nu in enumerate_partitions(d):
+            m_nu = SymFun.generator("m", nu)
+            assert matrix[nu] == apply_DN(restrict(m_nu, d))[1].coeffs, nu
+
+
+def test_d1_table_diagonal_and_support():
+    # the m_nu coefficient of D^1 m_nu is -sum_{i<N} q^(nu_i) t^(-i)
+    for d in range(9):
+        table = families._d1_table(d)
+        assert list(table) == enumerate_partitions(d)
+        for nu, column in table.items():
+            padded = tuple(nu) + (0,) * (d - len(nu))
+            assert column.get(nu, {}) == {(a, i): 1 for i, a in enumerate(padded)}, nu
+            for mu in column:
+                assert dominates(nu, mu), (nu, mu)
+
+
+def test_macdonald_build_refuses_column_outside_order_ideal(monkeypatch):
+    # a D^1 column reaching above its nu must raise, not feed the solve
+    table = families._d1_table
+
+    def bad_table(degree):
+        out = table(degree)
+        out[Partition((2, 1))][Partition((3,))] = {(0, 0): 1}
+        return out
+
+    monkeypatch.setattr(families, "_d1_table", bad_table)
+    point = NumericField(Fraction(3, 7), Fraction(5, 11))
+    try:
+        with pytest.raises(SingularTransition):
+            macdonald_M((2, 1), field=point)
+    finally:
+        clear_field_caches(point)
+
+
+def test_macdonald_coinciding_eigenvalues_raise():
+    # at q t = 1 the D^1 eigenvalues of (2) and (1,1) coincide: -6 = -6
+    point = NumericField(Fraction(2), Fraction(1, 2))
+    try:
+        with pytest.raises(SingularTransition):
+            macdonald_M((2,), field=point)
+    finally:
+        clear_field_caches(point)
 
 
 # --- Green table --------------------------------------------------------------
@@ -262,8 +377,6 @@ def test_morris_phi_matches_row_multiplication():
 
 def _coeff_on_hl(f, lam):
     # extract the P_lam coefficient of an m-basis element, top down
-    from qtsym.partitions import grevlex_key
-
     work = dict(f.coeffs)
     order = sorted(enumerate_partitions(sum(lam)), key=grevlex_key)
     coeffs = {}

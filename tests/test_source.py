@@ -80,3 +80,25 @@ def test_every_library_definition_is_named_elsewhere():
             ):
                 found.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert not found, found
+
+
+LAYERS = ("ratfun", "partitions", "symfun", "families", "macops", "verify", "cli")
+
+
+def test_library_imports_follow_layer_order():
+    # a module imports at module level only from the layers below it;
+    # imports inside functions (symfun reaching families) are exempt
+    rank = {name: i for i, name in enumerate(LAYERS)}
+    root = pathlib.Path(qtsym.__file__).parent
+    found = []
+    for name in LAYERS:
+        path = root / (name + ".py")
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = [node.module] if node.module else [a.name for a in node.names]
+            for target in targets:
+                if rank.get(target, len(LAYERS)) >= rank[name]:
+                    found.append("%s:%d from .%s" % (path.name, node.lineno, target))
+    assert not found, found
+    assert sorted(LAYERS) == sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
