@@ -191,10 +191,8 @@ def cmd_expand(args):
         raise CliError("degree bound %d below the weight of the partition" % bound, PRECONDITION_ERROR)
     if args.family == "macdonald":
         f = families.macdonald_M(lam, bound)
-    elif args.family == "hl-p":
-        f = families.hall_littlewood(lam, "P", bound)
-    elif args.family == "hl-q":
-        f = families.hall_littlewood(lam, "Q", bound)
+    elif args.family in ("hl-p", "hl-q"):
+        f = families.hall_littlewood(lam, args.family[-1].upper(), bound)
     elif args.family == "schur":
         f = families.schur(lam, bound)
     elif args.family == "monomial":
@@ -253,7 +251,7 @@ def _verify_config(args):
             if value < 0:
                 raise CliError("--%s must be nonnegative" % name.replace("_", "-"), PRECONDITION_ERROR)
             config[name] = value
-    if args.u_samples:
+    if args.u_samples is not None:
         try:
             config["u_samples"] = tuple(int(x) for x in args.u_samples.split(","))
         except ValueError:

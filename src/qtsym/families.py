@@ -2,10 +2,10 @@
 Schur, Macdonald, the Green transition table, and the one-row generating
 series with its multiplication coefficients.
 
-The Macdonald functions are the eigenvectors of D^1, the first-order
-Macdonald operator, solved triangularly over the monomials from an
-integer table of D^1 (Macdonald, Symmetric Functions and Hall
-Polynomials, Ch. VI Sections 3-4).
+Hall-Littlewood functions come from the one-row series by the Pieri rule
+and one triangular solve, finite-N ones by restriction.  Macdonald
+functions are the eigenvectors of D^1, solved triangularly over monomials
+(Macdonald, Symmetric Functions and Hall Polynomials, Ch. III and VI).
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from .partitions import (
     grevlex_key,
     horizontal_strip,
     kostka_rows,
+    kostka_step,
     multiplicities,
+    push_parts,
     t_factors,
     union,
 )
@@ -33,39 +35,55 @@ from .symfun import (
     NotDivisible,
     SingularTransition,
     SymFun,
-    XPoly,
     _alternant_index,
     _distinct_permutations,
+    _express_in_basis,
     _memo,
-    _pair_product,
-    alternant_quotient,
+    _p_to_m_degree,
+    axpy,
+    restrict,
 )
 
 
-def t_deformed_vandermonde(N, field=SYMBOLIC):
-    """The expanded product of (x_i - t x_j) over all pairs i < j <= N."""
-    return _memo(("tvand", N, field), lambda: _pair_product(N, -field.t, field))
+def _hl_degree(degree, field):
+    """{(kind, basis): {lam: coefficients}}: P_lam and Q_lam = b_lam(t) P_lam
+    of one degree in the bases 'm' and 'p'.
 
-
-def hl_alternant(lam, N, field=SYMBOLIC):
-    """Hall-Littlewood polynomial P_lam(x_1..x_N) in the monomial basis."""
-    lam = Partition(lam)
-    if N < len(lam):
-        raise LengthExceedsN("N=%d below the length of %r" % (N, tuple(lam)))
-
+    By the Pieri rule Q_n P_rho = sum phi_(nu/rho)(t) P_nu over horizontal
+    strips nu/rho, q_beta = Q_beta1 Q_beta2 ... is b_beta(t) P_beta plus P_nu
+    above beta in dominance.  Solved in ascending dominance, each P_lam is a
+    combination of the q_beta: products of one-row series (Macdonald, Ch. III).
+    """
     def build():
-        pad = tuple(lam) + (0,) * (N - len(lam))
-        shifted = {}
-        for e, c in t_deformed_vandermonde(N, field).coeffs.items():
-            shifted[tuple(e[i] + pad[i] for i in range(N))] = c
-        v = t_factors(lam, N=N, field=field).v
-        out = alternant_quotient(XPoly(N, shifted, field)).scale(field.one / v)
-        if field.is_symbolic:
-            for mu, c in out.coeffs.items():
-                _require_z_t(c, "coefficient of %r" % (tuple(mu),))
+        lams = sorted(enumerate_partitions(degree), key=grevlex_key, reverse=True)
+        rows = q_row_series(degree, field) if degree else []
+
+        def pieri(rho, n):
+            for nu, _ in kostka_step(rho, n):
+                yield nu, morris_phi(nu, rho, field)
+
+        def row(rho, n):
+            for alpha, c in rows[n - 1].coeffs.items():
+                yield union(rho, alpha), c
+
+        q_in_hl = {beta: push_parts(beta, pieri) for beta in lams}
+        q_in_p = {beta: push_parts(beta, row) for beta in lams}
+        out = {(kind, basis): {} for kind in "PQ" for basis in "mp"}
+        for lam in lams:
+            in_p, in_m = {}, {}
+            for beta, c in _express_in_basis({lam: field.one}, q_in_hl, lams).items():
+                axpy(in_p, q_in_p[beta], c)
+            for mu, c in in_p.items():
+                axpy(in_m, _p_to_m_degree(degree, field)[mu], c)
+            b = t_factors(lam, field=field).b
+            for basis, vec in (("m", in_m), ("p", in_p)):
+                out["P", basis][lam] = {mu: c for mu, c in vec.items() if c}
+                out["Q", basis][lam] = {mu: c * b for mu, c in vec.items() if c}
+            for mu, c in out["P", "m"][lam].items() if field.is_symbolic else ():
+                _require_z_t(c, "coefficient of m_%r in P_%r" % (tuple(mu), tuple(lam)))
         return out
 
-    return _memo(("hl_alt", lam, N, field), build)
+    return _memo(("hl", degree, field), build)
 
 
 def _require_z_t(c, what):
@@ -73,48 +91,30 @@ def _require_z_t(c, what):
         raise NotDivisible("%s leaves Z[t]: %s" % (what, c))
 
 
-def hl_in_m(lam, field=SYMBOLIC):
-    """Monomial expansion of the stable Hall-Littlewood function P_lam."""
+def _hl_in(lam, kind, basis, field):
     lam = Partition(lam)
-
-    def build():
-        if not lam:
-            return {Partition(): field.one}
-        return dict(hl_alternant(lam, sum(lam), field).coeffs)
-
-    return _memo(("hl_m", lam, field), build)
-
-
-def hl_q_in_m(lam, field=SYMBOLIC):
-    lam = Partition(lam)
-
-    def build():
-        b = t_factors(lam, field=field).b
-        return {mu: c * b for mu, c in hl_in_m(lam, field).items()}
-
-    return _memo(("hlq_m", lam, field), build)
+    if kind not in ("P", "Q"):
+        raise ValueError("kind must be P or Q")
+    return _hl_degree(sum(lam), field)[kind, basis][lam]
 
 
 def hall_littlewood(lam, kind, degree_bound=None, field=SYMBOLIC):
     """The stable symmetric function P_lam or Q_lam = b_lam(t) P_lam."""
-    if kind not in ("P", "Q"):
-        raise ValueError("kind must be P or Q")
-    lam = Partition(lam)
     bound = sum(lam) if degree_bound is None else degree_bound
-    coeffs = hl_in_m(lam, field) if kind == "P" else hl_q_in_m(lam, field)
-    return SymFun("m", dict(coeffs), bound, field)
+    return SymFun("m", _hl_in(lam, kind, "m", field), bound, field)
 
 
 def hl_in_p(lam, kind, field=SYMBOLIC):
-    """Power-sum expansion of P_lam or Q_lam (memoized; heavily reused by
-    the operator sums)."""
-    lam = Partition(lam)
+    """Power-sum expansion of P_lam or Q_lam (heavily reused by the operator sums)."""
+    return _hl_in(lam, kind, "p", field)
 
-    def build():
-        sym = hall_littlewood(lam, kind, field=field)
-        return dict(symfun.convert(sym, "p").coeffs)
 
-    return _memo(("hl_p", kind, lam, field), build)
+def hl_alternant(lam, N, field=SYMBOLIC):
+    """Hall-Littlewood polynomial P_lam(x_1..x_N): the stable P_lam at
+    x_(N+1) = x_(N+2) = ... = 0 (Macdonald, Ch. III Section 2)."""
+    if N < len(lam):
+        raise LengthExceedsN("N=%d below the length of %r" % (N, tuple(lam)))
+    return restrict(hall_littlewood(lam, "P", field=field), N)
 
 
 def schur(lam, degree_bound=None, field=SYMBOLIC):

@@ -217,8 +217,7 @@ def _hl_operator_sum(fp, k, top, x, y, bound, unit):
 
 
 def _hl_sym(lam, kind, bound, field):
-    coeffs = families.hl_in_p(lam, kind, field)
-    return SymFun("p", dict(coeffs), max(bound, sum(lam)), field)
+    return SymFun("p", families.hl_in_p(lam, kind, field), max(bound, sum(lam)), field)
 
 
 def A_eigen(lam, field=SYMBOLIC):

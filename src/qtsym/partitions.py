@@ -235,8 +235,8 @@ def horizontal_strip(lam, mu):
 def push_parts(parts, step):
     """Push {EMPTY: 1} through `step` once for each part n of `parts`.
 
-    `step(rho, n)` yields pairs (nu, w) of integer weight w; the result maps
-    each nu reached to the sum over paths of the product of their weights.
+    `step(rho, n)` yields pairs (nu, w), w an integer or a scalar; the result
+    maps each nu reached to the sum over paths of the product of weights.
     """
     row = {EMPTY: 1}
     for n in parts:

@@ -254,10 +254,8 @@ def _basis_in_m(tag, lam, field):
         return schur_in_m(lam, field)
     from . import families
 
-    if tag == "P":
-        return families.hl_in_m(lam, field)
-    if tag == "Q":
-        return families.hl_q_in_m(lam, field)
+    if tag in ("P", "Q"):
+        return families._hl_in(lam, tag, "m", field)
     if tag == "M":
         return families.macdonald_in_m(lam, field)
     raise BasisMismatch("unknown basis tag %r" % (tag,))

@@ -345,7 +345,7 @@ def alternant_F(mu, n, N, field=SYMBOLIC):
     if len(mu) >= N:
         raise LengthExceedsN("need len(mu) < N")
     pad = list(mu) + [0] * (N - 1 - len(mu))
-    seed = families.t_deformed_vandermonde(N - 1, field)
+    seed = _pair_product(N - 1, -field.t, field)
     shifted = {}
     for e, c in seed.coeffs.items():
         key = tuple(e[i] + pad[i] for i in range(N - 1)) + (N - 1 + n,)

@@ -146,6 +146,14 @@ def test_exit_code_u_samples_zero_or_one(capsys):
         assert "--u-samples %s:" % value in err, (argv, err)
 
 
+def test_exit_code_bad_u_samples_list(capsys):
+    # an empty list is refused like a malformed one, not read as the default samples
+    for value in ("", "2,,3", "2,x"):
+        code, out, err = run_cli(capsys, "verify", "corollary", "--u-samples", value)
+        assert (code, out) == (2, ""), value
+        assert "bad --u-samples list" in err, (value, err)
+
+
 def test_exit_code_negative_alphabet_size(capsys):
     code, out, err = run_cli(capsys, "apply", "--op", "DN", "--N", "-1", "--to-expr", "m[1]")
     assert (code, out) == (3, "")

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from qtsym.families import (
     green_table,
     hall_littlewood,
     hl_alternant,
-    hl_in_m,
+    hl_in_p,
     macdonald_in_m,
     macdonald_M,
     morris_phi,
@@ -32,7 +33,10 @@ from qtsym.symfun import (
     NSymPoly,
     SingularTransition,
     SymFun,
+    XPoly,
     _p_pairing,
+    _pair_product,
+    alternant_quotient,
     axpy,
     clear_field_caches,
     convert,
@@ -100,6 +104,50 @@ def test_hl_alternant_stability():
                 assert cur.set_last_zero() == hl_alternant(lam, N - 1)
             if len(lam) == N and N > 0:
                 assert all(len(k) == N for k in cur.coeffs) or not cur.coeffs
+
+
+@functools.lru_cache(maxsize=8)
+def _t_deformed_vandermonde(N, field):
+    """The expanded product of (x_i - t x_j) over all pairs i < j <= N."""
+    return _pair_product(N, -field.t, field)
+
+
+def _hl_alternant_reference(lam, N, field):
+    # the former library build: the t-deformed Vandermonde shifted by lam,
+    # through the alternant quotient and scaled by 1/v_lam(t)
+    pad = tuple(lam) + (0,) * (N - len(lam))
+    shifted = {}
+    for e, c in _t_deformed_vandermonde(N, field).coeffs.items():
+        shifted[tuple(e[i] + pad[i] for i in range(N))] = c
+    v = t_factors(lam, N=N, field=field).v
+    return alternant_quotient(XPoly(N, shifted, field)).scale(field.one / v)
+
+
+def _assert_hl_matches_alternant(max_degree, alternant_degree, field):
+    for lam in partitions_up_to(max_degree):
+        expected = _hl_alternant_reference(lam, sum(lam), field).as_symfun(sum(lam))
+        b = t_factors(lam, field=field).b
+        for kind, ref in (("P", expected), ("Q", expected.scale(b))):
+            assert hall_littlewood(lam, kind, field=field) == ref, (lam, kind, field)
+            assert hl_in_p(lam, kind, field) == convert(ref, "p").coeffs, (lam, kind, field)
+        if sum(lam) <= alternant_degree:
+            for N in range(len(lam), sum(lam) + 2):
+                assert hl_alternant(lam, N, field) == _hl_alternant_reference(lam, N, field), (lam, N)
+
+
+def test_hl_matches_alternant_symbolic():
+    _assert_hl_matches_alternant(6, 5, F)
+
+
+def test_hl_matches_alternant_at_sample_points():
+    rng = random.Random(20261019)
+    for _ in range(2):
+        point = random_point(rng)
+        try:
+            _assert_hl_matches_alternant(7, 5, point)
+        finally:
+            clear_field_caches(point)
+            _t_deformed_vandermonde.cache_clear()
 
 
 def test_hl_q_scalar_multiple():
@@ -386,7 +434,7 @@ def _coeff_on_hl(f, lam):
             coeffs[nu] = F.zero
             continue
         coeffs[nu] = c
-        for k, v in hl_in_m(nu).items():
+        for k, v in hall_littlewood(nu, "P").coeffs.items():
             s = work.get(k, F.zero) - c * v
             if s:
                 work[k] = s

@@ -286,3 +286,88 @@ def test_inexact_division_raises_under_optimisation():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["InexactDivision", "InexactDivision"]
+
+
+# --- sympy as an independent oracle for the gcd and the normal form ----------
+
+def _random_operand(rng, variables):
+    """A nonzero polynomial in the given variables ("qt", "q" or "t"), with
+    random integer and monomial content."""
+    p = IntPoly2({})
+    while not p:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            e = (rng.randint(0, 3) if "q" in variables else 0, rng.randint(0, 3) if "t" in variables else 0)
+            terms[e] = terms.get(e, 0) + rng.randint(-5, 5)
+        p = IntPoly2.from_terms(terms)
+    if rng.random() < 0.3:
+        p = p * IntPoly2.const(rng.choice((2, 3, 6, -4)))
+    if rng.random() < 0.3:
+        p = p * IntPoly2.monomial(rng.randint(0, 2) if "q" in variables else 0,
+                                  rng.randint(0, 2) if "t" in variables else 0)
+    return p
+
+
+def _operand_triples(seed, count, shapes=("qt", "qt", "q", "t")):
+    # (g, a, b); a and b share the shape of g or are mixed
+    rng = random.Random(seed)
+    for i in range(count):
+        g_shape = shapes[i % len(shapes)]
+        yield tuple(_random_operand(rng, rng.choice((g_shape, "qt")) if k else g_shape) for k in range(3))
+
+
+def _to_sympy(sympy, p):
+    q, t = sympy.symbols("q t")
+    return sympy.Poly.from_dict(dict(p.terms), q, t)
+
+
+def _same_up_to_sign(sympy, p, expected):
+    got = _to_sympy(sympy, p)
+    return got == expected or got == -expected
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for g, a, b in _operand_triples(20261018, 240):
+        x, y = a * g, b * g
+        expected = sympy.gcd(_to_sympy(sympy, x), _to_sympy(sympy, y))
+        assert _same_up_to_sign(sympy, poly_gcd(x, y), expected), (x, y)
+
+
+def test_normal_form_matches_sympy_cancel():
+    # sympy's cancel over Z keeps integer coefficients, coprime up to sign
+    sympy = pytest.importorskip("sympy")
+    for g, a, b in _operand_triples(20261019, 200):
+        r = RatFun(a * g, b * g)
+        num, den = _to_sympy(sympy, a * g).cancel(_to_sympy(sympy, b * g), include=True)
+        got = (_to_sympy(sympy, r.num), _to_sympy(sympy, r.den))
+        assert got in ((num, den), (-num, -den)), (a * g, b * g)
+
+
+def test_remainder_sequences_match_sympy():
+    # both remainder sequences on primitive inputs: t-polynomials as
+    # coefficient tuples, and polynomials in q over Z[t]
+    from qtsym.ratfun import (
+        _b_content,
+        _b_divground,
+        _b_gcd_prs,
+        _from_rec,
+        _to_rec,
+        _u_content,
+        _u_gcd_prs,
+        _u_intdiv,
+    )
+
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261020)
+    for _ in range(100):
+        g, a, b = (_random_operand(rng, "t") for _ in range(3))
+        f, h = (_to_rec((p * g).terms)[0] for p in (a, b))
+        f, h = _u_intdiv(f, _u_content(f)), _u_intdiv(h, _u_content(h))
+        got, f, h = (IntPoly2(_from_rec((u,))) for u in (_u_gcd_prs(f, h), f, h))
+        assert _same_up_to_sign(sympy, got, sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, h))), (f, h)
+    for g, a, b in _operand_triples(20261021, 100, shapes=("qt", "q")):
+        f, h = _to_rec((a * g).terms), _to_rec((b * g).terms)
+        f, h = _b_divground(f, _b_content(f)), _b_divground(h, _b_content(h))
+        got, f, h = (IntPoly2(_from_rec(u)) for u in (_b_gcd_prs(f, h), f, h))
+        assert _same_up_to_sign(sympy, got, sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, h))), (f, h)

@@ -102,3 +102,16 @@ def test_library_imports_follow_layer_order():
                     found.append("%s:%d from .%s" % (path.name, node.lineno, target))
     assert not found, found
     assert sorted(LAYERS) == sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
+
+
+def test_memo_keys_end_with_field():
+    # clear_field_caches drops a field's entries by the last element of each key
+    keys = []
+    for path in sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_memo":
+                keys.append(("%s:%d" % (path.name, node.lineno), node.args[0] if node.args else None))
+    found = [where for where, key in keys if not (
+        isinstance(key, ast.Tuple) and key.elts
+        and isinstance(key.elts[-1], ast.Name) and key.elts[-1].id == "field")]
+    assert keys and not found, found
