@@ -1,7 +1,8 @@
 """Macdonald difference operators: the finite-N determinantal operator,
-its renormalised form, the stable limits indexed by k, eigenvalue data in
-the 1/(u;1/t)_k basis, Pieri coefficients, and the raising/lowering step
-families with their one-box evaluations.
+its renormalised form, the stable limits indexed by k (as a Hall-Littlewood
+operator sum on power sums, and as memoised matrices on the monomials of
+one degree), eigenvalue data in the 1/(u;1/t)_k basis, Pieri coefficients,
+and the raising/lowering step families with their one-box evaluations.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from .partitions import (
     append_one,
     box_added_index,
     conjugate,
+    dominates,
     enumerate_partitions,
 )
 from .ratfun import SYMBOLIC
@@ -22,6 +24,7 @@ from .symfun import (
     NSymPoly,
     SymFun,
     XPoly,
+    _memo,
     adjoint_apply,
     alternant_quotient,
     convert,
@@ -43,6 +46,10 @@ class InvalidStep(ValueError):
 
 
 class PoleAtSample(ZeroDivisionError):
+    pass
+
+
+class BadMatrixEntry(ArithmeticError):
     pass
 
 
@@ -195,6 +202,33 @@ def A_k_apply(k, f, degree_bound=None):
     bound = f.degree_bound if degree_bound is None else degree_bound
     fp = convert(f, "p")
     return _hl_operator_sum(fp, k, fp.max_degree(), ("Q", False), ("P", False), bound, f.field.one)
+
+
+def A_k_matrix(k, degree, field=SYMBOLIC):
+    """Columns {mu: {nu: c}} with A_k m_mu = sum c m_nu over the partitions
+    of the degree.
+
+    m_mu has rational power-sum coefficients, so each column is one cheap
+    `A_k_apply`.  A column reaching above mu in dominance, or (symbolically)
+    an entry whose denominator is not a monomial, raises BadMatrixEntry.
+    """
+    def build():
+        out = {}
+        for mu in enumerate_partitions(degree):
+            column = convert(A_k_apply(k, SymFun.generator("m", mu, field=field)), "m").coeffs
+            for nu, c in column.items():
+                if not dominates(mu, nu):
+                    fault = "lies outside the lower order ideal of the column"
+                elif field.is_symbolic and len(c.den.terms) != 1:
+                    fault = "has the denominator %s, not a monomial" % (c.den,)
+                else:
+                    continue
+                raise BadMatrixEntry("A_%d at degree %d: the entry at row %r, column %r %s"
+                                     % (k, degree, tuple(nu), tuple(mu), fault))
+            out[mu] = column
+        return out
+
+    return _memo(("A_k", k, degree, field), build)
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):

@@ -22,11 +22,11 @@ from .families import (
     hall_littlewood,
     hl_alternant,
     macdonald_M,
+    macdonald_in_m,
     morris_phi,
 )
 from .macops import (
     A_eigen,
-    A_k_apply,
     A_k_eigen,
     PoleAtSample,
     _up_product,
@@ -38,6 +38,7 @@ from .partitions import (
     Partition,
     add_box_positions,
     enumerate_partitions,
+    format_partition,
     remove_box_positions,
     stats,
     t_factors,
@@ -51,6 +52,7 @@ from .symfun import (
     XPoly,
     _pair_product,
     _slot,
+    axpy,
     convert,
     divide_by_vandermonde,
     expand_x,
@@ -258,19 +260,53 @@ def check_deigen(N, lam, field=SYMBOLIC):
     return _finish("deigen", params, t0, True)
 
 
+def _nonzero(coeffs):
+    return {key: c for key, c in coeffs.items() if c}
+
+
+def _apply_matrix(matrix, coeffs):
+    # sum c * column over the monomial coefficients of an operand
+    out = {}
+    for mu, c in coeffs.items():
+        axpy(out, matrix[mu], c)
+    return _nonzero(out)
+
+
 def check_theorem_basic(k, lam, field=SYMBOLIC):
+    """A_k M_lam = e_k(lam) M_lam, with A_k applied as its monomial matrix."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
-    m = convert(macdonald_M(lam, field=field), "p")
-    got = A_k_apply(k, m)
-    if len(lam) < k:
-        ok = got.is_zero()
-        return _finish("theorem_basic", params, t0, ok, "expected zero image")
-    fam = A_k_eigen(lam, field)
-    expected = m.scale(fam.entry(k))
-    ok = got == expected
-    return _finish("theorem_basic", params, t0, ok, "eigen-equation fails")
+    m = macdonald_in_m(lam, field)
+    got = _apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
+    # A_k kills M_lam when ell(lam) < k
+    e = A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero
+    key = _first_difference(got, _nonzero({mu: c * e for mu, c in m.items()}))
+    if key is None:
+        return _finish("theorem_basic", params, t0, True)
+    return _finish("theorem_basic", params, t0, False, "eigen-equation fails at m[%s]" % format_partition(key))
+
+
+def check_commute(k, l, degree, field=SYMBOLIC):
+    """[A_k, A_l] = 0 on the monomials of one degree, and the diagonals of
+    A_k and A_l are the eigenvalues e_k and e_l."""
+    t0 = time.perf_counter()
+    params = {"k": k, "l": l, "degree": degree}
+    a = {j: macops.A_k_matrix(j, degree, field) for j in (k, l)}
+    for mu in enumerate_partitions(degree):
+        kl = _apply_matrix(a[k], a[l][mu])
+        lk = _apply_matrix(a[l], a[k][mu])
+        nu = _first_difference(kl, lk)
+        if nu is not None:
+            return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
+                           % (k, l, degree, format_partition(nu), format_partition(mu)))
+        fam = A_k_eigen(mu, field)
+        for j in (k, l):
+            # entry(j) is None when ell(mu) < j
+            if a[j][mu].get(mu, field.zero) != (fam.entry(j) or field.zero):
+                return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
+                               % (j, degree, format_partition(mu), format_partition(mu)))
+    return _finish("commute", params, t0, True)
 
 
 def check_corollary(k, mu, u_samples, field=SYMBOLIC):
@@ -568,6 +604,15 @@ def suite_theorem(config, field=SYMBOLIC):
                 yield check_theorem_basic(k, lam, field)
 
 
+def suite_commute(config, field=SYMBOLIC):
+    max_w = config.get("max_degree", 6)
+    max_k = config.get("max_k", 3)
+    for w in range(1, max_w + 1):
+        for k in range(1, max_k + 1):
+            for l in range(k + 1, max_k + 1):
+                yield check_commute(k, l, w, field)
+
+
 def suite_corollary(config, field=SYMBOLIC):
     max_w = config.get("max_weight", 4)
     samples = config.get("u_samples", (2, 3, 5))
@@ -609,6 +654,7 @@ SUITES = {
     "green": suite_green,
     "deigen": suite_deigen,
     "theorem": suite_theorem,
+    "commute": suite_commute,
     "corollary": suite_corollary,
     "proposition": suite_proposition,
     "finite-symbol": suite_finite_symbol,

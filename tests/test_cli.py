@@ -6,7 +6,7 @@ import pytest
 from qtsym.cli import main, parse_expression, render_plain
 from qtsym.partitions import Partition, enumerate_partitions
 from qtsym import symfun
-from qtsym.ratfun import IntPoly2, ParseError, RatFun, parse_ratfun, random_point
+from qtsym.ratfun import SYMBOLIC, IntPoly2, ParseError, RatFun, parse_ratfun, random_point
 from qtsym.symfun import BASES, SymFun, clear_caches, convert, transition_matrix
 
 
@@ -191,6 +191,16 @@ def test_verify_numeric_mode(capsys):
     sampled = {random_point(rng) for _ in range(2)}
     held = [key for key in symfun._CACHE if any(part in sampled for part in key)]
     assert not held, held[:3]
+    # the theorem checks memoise the A_k matrices per field, and a point's
+    # matrices go with its other tables
+    code, _, _ = run_cli(capsys, "verify", "theorem", "--max-degree", "3", "--max-k", "2",
+                         "--mode", "numeric", "--seed", "7", "--points", "2")
+    assert code == 0
+    held = [key for key in symfun._CACHE if key[0] == "A_k" and key[-1] in sampled]
+    assert not held, held[:3]
+    code, _, _ = run_cli(capsys, "verify", "theorem", "--max-degree", "3", "--max-k", "2")
+    assert code == 0
+    assert ("A_k", 2, 3, SYMBOLIC) in symfun._CACHE
 
 
 def test_expression_grammar():

@@ -1,13 +1,17 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
 
+from qtsym import macops, symfun
 from qtsym.families import macdonald_M
 from qtsym.macops import (
     A_eigen,
     A_k_apply,
     A_k_eigen,
+    A_k_matrix,
+    BadMatrixEntry,
     InvalidStep,
     NotOneBoxUp,
     apply_AN,
@@ -299,6 +303,69 @@ def test_A_k_commute():
                     jk = A_k_apply(j, A_k_apply(k, f))
                     kj = A_k_apply(k, A_k_apply(j, f))
                     assert jk == kj, (lam, j, k)
+
+
+def _random_m_operand(rng, degree, field):
+    # a seeded random combination of the monomials of one degree
+    coeffs = {}
+    for lam in enumerate_partitions(degree):
+        c = field.from_int(rng.randint(-3, 3))
+        if rng.random() < 0.5:
+            c = c * field.q ** rng.randint(-1, 1) * field.t ** rng.randint(0, 2) / (field.one - field.q * field.t)
+        coeffs[lam] = c
+    return SymFun("m", coeffs, degree, field)
+
+
+def _matrix_times(matrix, f):
+    out = {}
+    for mu, c in f.coeffs.items():
+        for nu, a in matrix[mu].items():
+            out[nu] = out.get(nu, f.field.zero) + c * a
+    return SymFun("m", out, f.degree_bound, f.field)
+
+
+@pytest.mark.parametrize("field,top", [(F, 5), (random_point(random.Random(20261018)), 6)],
+                         ids=["symbolic", "numeric"])
+def test_A_k_matrix_matches_operator_sum(field, top):
+    # the memoised matrix against the p-basis operator sum on random operands
+    rng = random.Random(9)
+    for degree in range(top + 1):
+        for k in (1, 2, 3):
+            matrix = A_k_matrix(k, degree, field)
+            for _ in range(2):
+                f = _random_m_operand(rng, degree, field)
+                expected = convert(A_k_apply(k, convert(f, "p")), "m")
+                assert _matrix_times(matrix, f) == expected, (degree, k, f)
+
+
+def test_A_k_matrix_diagonal_is_the_eigenvalue():
+    for degree in range(7):
+        for k in (1, 2, 3):
+            matrix = A_k_matrix(k, degree)
+            for lam in enumerate_partitions(degree):
+                expected = A_k_eigen(lam).entry(k) if len(lam) >= k else F.zero
+                assert matrix[lam].get(lam, F.zero) == expected, (k, lam)
+
+
+@pytest.mark.parametrize("extra,where", [
+    # m_2 added to the column of m_(1,1): an entry above it in dominance
+    (lambda f: convert(SymFun.generator("m", (2,)), "p") if Partition((1, 1)) in f.coeffs else None,
+     "row (2,), column (1, 1) lies outside the lower order ideal"),
+    # f / (1 - q) added: a diagonal entry whose denominator is not a monomial
+    (lambda f: convert(f, "p").scale(one / (one - F.q)), "row (2,), column (2,) has the denominator"),
+])
+def test_A_k_matrix_invariants_raise(monkeypatch, extra, where):
+    real = macops.A_k_apply
+
+    def faulty(k, f, degree_bound=None):
+        out = real(k, f, degree_bound)
+        add = extra(f)
+        return out if add is None else out + add
+
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    monkeypatch.setattr(macops, "A_k_apply", faulty)
+    with pytest.raises(BadMatrixEntry, match=r"A_1 at degree 2: the entry at " + re.escape(where)):
+        A_k_matrix(1, 2)
 
 
 def test_pieri_up_examples():

@@ -2,7 +2,7 @@ import io
 import json
 import random
 
-from qtsym import symfun, verify
+from qtsym import macops, symfun, verify
 from qtsym.families import GreenTable, macdonald_M
 from qtsym.partitions import (
     Compare,
@@ -16,6 +16,7 @@ from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, divide_by_vandermond
 from qtsym.verify import (
     CheckReport,
     alternant_F,
+    check_commute,
     check_corollary,
     check_decomposition,
     check_deigen,
@@ -90,6 +91,62 @@ def test_theorem_examples():
     assert check_theorem_basic(1, P(1)).passed()
     assert check_theorem_basic(2, P(1)).passed()
     assert check_theorem_basic(2, P(1, 1)).passed()
+
+
+def _perturb(monkeypatch, k, degree, change):
+    # A_k_matrix with change(columns) applied to a copy at one (k, degree)
+    real = macops.A_k_matrix
+
+    def perturbed(j, d, field=F):
+        matrix = real(j, d, field)
+        if (j, d) != (k, degree):
+            return matrix
+        matrix = {mu: dict(column) for mu, column in matrix.items()}
+        change(matrix)
+        return matrix
+
+    monkeypatch.setattr(macops, "A_k_matrix", perturbed)
+
+
+def _add_one(matrix, row, column):
+    matrix[column][row] = matrix[column].get(row, F.zero) + one
+
+
+def test_theorem_failure_names_the_monomial(monkeypatch):
+    _perturb(monkeypatch, 1, 3, lambda a: _add_one(a, P(1, 1, 1), P(2, 1)))
+    report = check_theorem_basic(1, P(2, 1))
+    assert not report.passed()
+    assert report.witness == "eigen-equation fails at m[1,1,1]"
+    assert check_theorem_basic(2, P(2, 1)).passed()
+
+
+def test_commute_sweep_passes():
+    reports = list(run_suite("commute", {"max_degree": 5, "max_k": 3}))
+    assert len(reports) == 15
+    assert all(r.passed() and r.witness is None for r in reports), [r.witness for r in reports]
+    assert [r.parameters for r in reports[:3]] == [{"k": 1, "l": 2, "degree": 1},
+                                                   {"k": 1, "l": 3, "degree": 1},
+                                                   {"k": 2, "l": 3, "degree": 1}]
+
+
+def test_commute_failure_names_the_entry(monkeypatch):
+    _perturb(monkeypatch, 1, 3, lambda a: _add_one(a, P(1, 1, 1), P(2, 1)))
+    report = check_commute(1, 2, 3)
+    assert not report.passed()
+    assert report.witness == "[A_1, A_2] at degree 3: row m[1,1,1], column m[3]"
+    assert check_commute(2, 3, 3).passed()
+
+
+def test_commute_failure_on_the_diagonal(monkeypatch):
+    # A_1 + 1 still commutes with A_2; only its diagonal is wrong
+    def shift(matrix):
+        for mu in matrix:
+            _add_one(matrix, mu, mu)
+
+    _perturb(monkeypatch, 1, 3, shift)
+    report = check_commute(1, 2, 3)
+    assert not report.passed()
+    assert report.witness == "diagonal of A_1 at degree 3: row m[3], column m[3]"
 
 
 def test_corollary_examples():
@@ -211,7 +268,7 @@ def test_fail_report_carries_witness():
 def test_numeric_mode_agrees_with_symbolic():
     rng = random.Random(20260809)
     config = {"max_degree": 2, "max_k": 2, "degree": 2, "max_weight": 2, "N": 2}
-    names = ("hl-cauchy", "green", "theorem", "proposition")
+    names = ("hl-cauchy", "green", "theorem", "commute", "proposition")
     symbolic = {}
     for name in names:
         symbolic[name] = [r.passed() for r in run_suite(name, config)]
