@@ -219,7 +219,7 @@ def cmd_apply(args):
         if args.N < 0:
             raise CliError("--N must be nonnegative", PRECONDITION_ERROR)
         nsp = restrict(f, args.N)
-        coeffs = macops.apply_DN(nsp, args.N)
+        coeffs = macops.apply_DN(nsp)
         to = args.to or "m"
         if args.format == "json":
             data = [to_json_dict(convert(c.as_symfun(f.degree_bound), to)) for c in coeffs]

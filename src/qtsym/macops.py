@@ -133,16 +133,15 @@ class URat:
 # ---------------------------------------------------------------------------
 # the finite-N operators
 
-def apply_DN(f, N=None):
+def apply_DN(f):
     """Coefficients of the u-polynomial D_N(u) f, as N-variable polynomials.
 
-    D_N(u) = a_delta^-1 sum_w eps(w) w(x^delta prod_i (1 - u t^-i T_{q,x_i})),
-    i = 0..N-1.  f is symmetric, so one alternant quotient per power of u
-    serves: on a monomial x^e of f the product is prod_i (1 - u q^(e_i) t^-i).
+    N = f.N and D_N(u) = a_delta^-1 sum_w eps(w) w(x^delta prod_i
+    (1 - u t^-i T_{q,x_i})), i = 0..N-1.  f is symmetric, so one alternant
+    quotient per power of u serves: on a monomial x^e of f the product is
+    prod_i (1 - u q^(e_i) t^-i).
     """
-    N = f.N if N is None else N
-    if N != f.N:
-        raise ValueError("operand lives in %d variables, expected %d" % (f.N, N))
+    N = f.N
     field = f.field
     delta = range(N - 1, -1, -1)
     sums = [{} for _ in range(N + 1)]
@@ -179,11 +178,11 @@ def _partial_fractions(num, N, field):
     return out
 
 
-def apply_AN(f, N=None):
+def apply_AN(f):
     """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand."""
-    N = f.N if N is None else N
+    N = f.N
     field = f.field
-    coeffs = apply_DN(f, N)
+    coeffs = apply_DN(f)
     entries = [{} for _ in range(N + 1)]
     for mu in {mu for c in coeffs for mu in c.coeffs}:
         shift = field.q ** (-sum(mu))

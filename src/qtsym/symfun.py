@@ -12,9 +12,7 @@ triangular solve.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 
 from .partitions import (
     Partition,
@@ -27,7 +25,7 @@ from .partitions import (
     stats,
     union,
 )
-from .ratfun import SYMBOLIC, parse_ratfun
+from .ratfun import SYMBOLIC
 
 BASES = ("m", "p", "s", "P", "Q", "M")
 
@@ -267,76 +265,21 @@ def transition_matrix(frm, to, degree, field=SYMBOLIC):
         raise BasisMismatch("unknown basis tag")
 
     def build():
-        cached = _load_cached_matrix(frm, to, degree, field)
-        if cached is not None:
-            return cached
         lams = enumerate_partitions(degree)
         if frm == to:
-            out = {lam: {lam: field.one} for lam in lams}
-        elif to == "m":
-            out = {lam: dict(_basis_in_m(frm, lam, field)) for lam in lams}
-        else:
-            expansions = {lam: _basis_in_m(to, lam, field) for lam in lams}
-            # p_lam has monomial support above lam in dominance, so its solve
-            # starts at the minimal partition; the family bases have support
-            # below and start at the maximal one
-            order = sorted(lams, key=grevlex_key)
-            if to == "p":
-                order.reverse()
-            out = {lam: _express_in_basis(_basis_in_m(frm, lam, field), expansions, order) for lam in lams}
-        _store_cached_matrix(frm, to, degree, field, out)
-        return out
+            return {lam: {lam: field.one} for lam in lams}
+        if to == "m":
+            return {lam: dict(_basis_in_m(frm, lam, field)) for lam in lams}
+        expansions = {lam: _basis_in_m(to, lam, field) for lam in lams}
+        # p_lam has monomial support above lam in dominance, so its solve
+        # starts at the minimal partition; the family bases have support
+        # below and start at the maximal one
+        order = sorted(lams, key=grevlex_key)
+        if to == "p":
+            order.reverse()
+        return {lam: _express_in_basis(_basis_in_m(frm, lam, field), expansions, order) for lam in lams}
 
     return _memo(("transition", frm, to, degree, field), build)
-
-
-def _cache_path(frm, to, degree):
-    root = os.environ.get("SYMFUN_CACHE_DIR")
-    if not root:
-        return None
-    return os.path.join(root, "transition_%s_%s_%d.json" % (frm, to, degree))
-
-
-_CACHE_FORMAT = 1
-
-
-def _load_cached_matrix(frm, to, degree, field):
-    """The cached columns, or None (a cache miss) unless the file holds the
-    (frm, to, degree) matrix in the current format with one column per
-    partition of the degree."""
-    path = _cache_path(frm, to, degree)
-    if path is None or not field.is_symbolic or not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if (data["format"], data["from"], data["to"], data["degree"]) != (_CACHE_FORMAT, frm, to, degree):
-            return None
-        columns = [(Partition(col["partition"]), from_json_dict(col)) for col in data["columns"]]
-    except (KeyError, TypeError, ValueError, ArithmeticError):
-        return None
-    if [lam for lam, _ in columns] != enumerate_partitions(degree):
-        return None
-    return {lam: sym.coeffs for lam, sym in columns}
-
-
-def _store_cached_matrix(frm, to, degree, field, matrix):
-    path = _cache_path(frm, to, degree)
-    if path is None or not field.is_symbolic:
-        return
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    columns = []
-    for lam in enumerate_partitions(degree):
-        col = matrix[lam]
-        sym = SymFun(to, col, degree, SYMBOLIC)
-        entry = to_json_dict(sym)
-        entry["partition"] = list(lam)
-        columns.append(entry)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        data = {"format": _CACHE_FORMAT, "from": frm, "to": to, "degree": degree, "columns": columns}
-        json.dump(data, fh, sort_keys=True)
-    os.replace(tmp, path)
 
 
 def convert(f, to):
@@ -750,29 +693,6 @@ class BiSymFun(_Sparse):
                 result[(xk, yk)] = c
         return BiSymFun(result, self.degree_bound, self.field)
 
-    def series_inverse(self):
-        """Inverse of a series with constant term 1, degree by degree.
-
-        Degrees are graded by the x-weight of the keys; valid for the
-        kernels used here, whose components are x/y-bihomogeneous.
-        """
-        bound = self.degree_bound
-        one = BiSymFun.one(bound, self.field)
-        if self.coeffs.get((Partition(), Partition())) != self.field.one:
-            raise NotDivisible("series inverse needs constant term 1")
-        by_deg = {}
-        for key, c in self.coeffs.items():
-            by_deg.setdefault(sum(key[0]), {})[key] = c
-        by_deg = {e: BiSymFun(part, bound, self.field) for e, part in by_deg.items()}
-        inv = [one]
-        for d in range(1, bound + 1):
-            comp = BiSymFun({}, bound, self.field)
-            for e in range(1, d + 1):
-                if e in by_deg:
-                    comp = comp + by_deg[e] * inv[d - e]
-            inv.append(-comp)
-        return sum(inv[1:], one)
-
     def __repr__(self):
         return "BiSymFun(%d terms, bound=%d)" % (len(self.coeffs), self.degree_bound)
 
@@ -786,9 +706,3 @@ def to_json_dict(f):
         terms.append({"partition": list(lam), "coeff": str(c)})
     return {"basis": f.basis, "degree_bound": f.degree_bound, "terms": terms}
 
-
-def from_json_dict(data, field=SYMBOLIC):
-    coeffs = {}
-    for term in data["terms"]:
-        coeffs[Partition(term["partition"])] = parse_ratfun(term["coeff"])
-    return SymFun(data["basis"], coeffs, data["degree_bound"], field)

@@ -7,7 +7,7 @@ from qtsym.cli import main, parse_expression, render_plain
 from qtsym.partitions import Partition, enumerate_partitions
 from qtsym import symfun
 from qtsym.ratfun import SYMBOLIC, IntPoly2, ParseError, RatFun, parse_ratfun, random_point
-from qtsym.symfun import BASES, SymFun, clear_caches, convert, transition_matrix
+from qtsym.symfun import BASES, SymFun, convert
 
 
 def run_cli(capsys, *argv):
@@ -259,32 +259,3 @@ def test_render_parse_round_trip():
             text = render_plain(f)
             assert parse_expression(text) == f, text
 
-
-def _assert_cold_rebuild(path, written, matrix):
-    # a bad file is a cache miss: the matrix is recomputed and the file rewritten
-    clear_caches()
-    path.write_text(written)
-    assert transition_matrix("p", "m", 3) == matrix
-    assert json.loads(path.read_text())["degree"] == 3
-
-
-def test_cache_dir_persistence(tmp_path, monkeypatch):
-    monkeypatch.setenv("SYMFUN_CACHE_DIR", str(tmp_path))
-    clear_caches()
-    first = transition_matrix("p", "m", 3)
-    files = list(tmp_path.glob("transition_p_m_3.json"))
-    assert len(files) == 1
-    clear_caches()
-    second = transition_matrix("p", "m", 3)
-    assert first == second
-    path = files[0]
-    good = path.read_text()
-    _assert_cold_rebuild(path, good[: len(good) // 2], first)
-    data = json.loads(good)
-    data["columns"] = data["columns"][1:]
-    _assert_cold_rebuild(path, json.dumps(data), first)
-    data = json.loads(good)
-    data["degree"] = 4
-    _assert_cold_rebuild(path, json.dumps(data), first)
-    clear_caches()
-    monkeypatch.delenv("SYMFUN_CACHE_DIR")

@@ -62,6 +62,17 @@ def _references(tree):
                 yield a.name, node.lineno
 
 
+def test_library_reads_no_files_or_environment():
+    # every cache lives in memory: no module reads os.environ or os.getenv,
+    # or calls open
+    found = []
+    for path in sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py")):
+        for name, line in _references(ast.parse(path.read_text(), str(path))):
+            if name in ("environ", "getenv", "open"):
+                found.append("%s:%d %s" % (path.name, line, name))
+    assert not found, found
+
+
 def test_every_library_definition_is_named_elsewhere():
     # a deleted path must not leave an orphan function or class behind
     library = sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py"))

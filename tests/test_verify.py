@@ -69,6 +69,16 @@ def test_kernel_lemma_macdonald():
     assert report.passed(), report.witness
 
 
+def test_kernel_lemma_fails_on_the_wrong_kernel(monkeypatch):
+    # the Hall-Littlewood kernel is not reproducing for the (q,t) product;
+    # the witness is the lowest y-power where f*(Pi) and f(y) Pi part
+    monkeypatch.setattr(verify, "kernel_pi", verify.hl_kernel)
+    for n in (1, 2):
+        report = check_kernel_lemma(SymFun.generator("p", (n,)), 3)
+        assert not report.passed()
+        assert report.witness == "first mismatch at p() (x) p(%d,)" % n
+
+
 def test_hl_cauchy_small():
     for d in range(1, 6):
         report = check_hl_cauchy(d)
