@@ -29,7 +29,7 @@ from .partitions import (
     t_factors,
     union,
 )
-from .ratfun import SYMBOLIC
+from .ratfun import SYMBOLIC, IntPoly2, RatFun
 from . import symfun
 from .symfun import (
     NotDivisible,
@@ -143,18 +143,21 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 # Macdonald functions as eigenvectors of D^1
 
-def _d1_table(degree):
-    """D^1, the u^1 coefficient of D_N(u) at N = degree, on monomials, as
-    integers: {nu: {mu: {(a, i): n}}}, the m_mu coefficient of D^1 m_nu
-    being -sum n q^a t^-i.
+def _dn_table(degree, top):
+    """D_N(u) at N = degree on monomials, through u^top, as integers: yields
+    (nu, {mu: [L_0, .., L_top]}) over the partitions nu of the degree, the
+    u^s coefficient of the m_mu coefficient of D_N(u) m_nu being
+    (-1)^s sum n q^a t^-i over the items ((a, i), n) of L_s.  top = 1 gives
+    D^1; top = degree gives all of D_N(u), one column at a time.
 
-    On x^e, e a permutation of nu, D^1 reads -sum_i q^(e_i) t^-i times
-    A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each
+    On x^e, e a permutation of nu, D_N(u) reads prod_i (1 - u q^(e_i) t^-i)
+    times A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each
     s_rho to monomials.
     """
     N = degree
     kostka = kostka_rows(degree)
-    table = {}
+    # the u-powers factor i can reach, from the top down
+    powers = [range(min(i + 1, top), 0, -1) for i in range(N)]
     for nu in kostka:
         by_schur = {}
         for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
@@ -162,39 +165,76 @@ def _d1_table(degree):
             if index is None:
                 continue
             sign, rho = index
-            pairs = by_schur.setdefault(rho, {})
-            for key in zip(e, range(N)):
-                pairs[key] = pairs.get(key, 0) + sign
+            # sign e_s(q^(e_i) t^-i), s <= top, added into the sums of rho one
+            # factor 1 + v q^(e_i) t^-i at a time (v = -u), from the top power down
+            sums = by_schur.get(rho)
+            if sums is None:
+                sums = by_schur[rho] = [{} for _ in range(top + 1)]
+            sums[0][0, 0] = sums[0].get((0, 0), 0) + sign
+            prod = [{(0, 0): sign}] + [{} for _ in range(top - 1)]
+            for i, a in enumerate(e):
+                for s in powers[i]:
+                    target = prod[s] if s < top else sums[s]
+                    for (x, y), n in prod[s - 1].items():
+                        key = (x + a, y + i)
+                        target[key] = target.get(key, 0) + n
+            for target, poly in zip(sums[1:top], prod[1:]):
+                for key, n in poly.items():
+                    target[key] = target.get(key, 0) + n
         column = {}
-        for rho, pairs in by_schur.items():
+        for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
-                entry = column.setdefault(mu, {})
-                for key, n in pairs.items():
-                    entry[key] = entry.get(key, 0) + k * n
-        column = {mu: {key: n for key, n in entry.items() if n} for mu, entry in column.items()}
-        table[nu] = {mu: entry for mu, entry in column.items() if entry}
-    return table
+                entry = column.get(mu)
+                if entry is None:
+                    entry = column[mu] = [{} for _ in range(top + 1)]
+                for target, poly in zip(entry, sums):
+                    for key, n in poly.items():
+                        target[key] = target.get(key, 0) + k * n
+        column = {mu: [{key: n for key, n in poly.items() if n} for poly in entry]
+                  for mu, entry in column.items()}
+        yield nu, {mu: entry for mu, entry in column.items() if any(entry)}
+
+
+def _laurent_lift(shift, field):
+    """Map a nonempty integer dict {(a, i): n} to sum n q^(a + shift) t^-i
+    in the field, as q^(a0 + shift) t^-i1 times a polynomial in q and 1/t
+    read off in one pass: symbolically a reduced fraction over a monomial,
+    with no gcd; at a sample point q = qn/qd, t = tn/td one integer over
+    qd^(a1 - a0) tn^(i1 - i0)."""
+    if field.is_symbolic:
+        def lift(entry):
+            a0 = min(a for a, _ in entry)
+            i1 = max(i for _, i in entry)
+            num = IntPoly2({(a - a0, i1 - i): n for (a, i), n in entry.items()})
+            return RatFun.from_poly(num) * (field.q ** (a0 + shift) * field.t ** (-i1))
+        return lift
+
+    qn, qd = field.q.numerator, field.q.denominator
+    tn, td = field.t.numerator, field.t.denominator
+
+    def lift(entry):
+        a0, a1 = min(a for a, _ in entry), max(a for a, _ in entry)
+        i0, i1 = min(i for _, i in entry), max(i for _, i in entry)
+        total = sum(n * qn ** (a - a0) * qd ** (a1 - a) * td ** (i - i0) * tn ** (i1 - i)
+                    for (a, i), n in entry.items())
+        return Fraction(total, qd ** (a1 - a0) * tn ** (i1 - i0)) * (field.q ** (a0 + shift) * field.t ** (-i0))
+    return lift
 
 
 def _d1_matrix(degree, field):
-    """The table of `_d1_table` over the field, each column checked to lie
-    in the lower order ideal of its nu."""
-    N = degree
-    # q^a t^(N-1-i) are polynomials, so their sums need no gcd
-    qt = [[field.q ** a * field.t ** j for j in range(N)] for a in range(degree + 1)]
-    scale = -(field.t ** (1 - N))
+    """D^1, the u^1 slice of `_dn_table`, over the field.  Each column is
+    checked to lie in the lower order ideal of its nu."""
+    lift = _laurent_lift(0, field)
     out = {}
-    for nu, column in _d1_table(degree).items():
+    for nu, column in _dn_table(degree, 1):
         out[nu] = {}
         for mu, entry in column.items():
             if not dominates(nu, mu):
                 raise SingularTransition(
                     "D^1 m_%r touches m_%r, outside the lower order ideal" % (tuple(nu), tuple(mu))
                 )
-            total = field.zero
-            for (a, i), n in entry.items():
-                total = total + field.from_int(n) * qt[a][N - 1 - i]
-            out[nu][mu] = total * scale
+            if entry[1]:
+                out[nu][mu] = -lift(entry[1])
     return out
 
 

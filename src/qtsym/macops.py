@@ -1,8 +1,10 @@
 """Macdonald difference operators: the finite-N determinantal operator,
-its renormalised form, the stable limits indexed by k (as a Hall-Littlewood
-operator sum on power sums, and as memoised matrices on the monomials of
-one degree), eigenvalue data in the 1/(u;1/t)_k basis, Pieri coefficients,
-and the raising/lowering step families with their one-box evaluations.
+its renormalised form, the stable limits indexed by k (as the paper's
+symbol, a Hall-Littlewood operator sum on power sums, and as memoised
+matrices on the monomials of one degree, read off the finite operator at N
+= degree in integer arithmetic), eigenvalue data in the 1/(u;1/t)_k basis,
+Pieri coefficients, and the raising/lowering step families with their
+one-box evaluations.
 """
 
 from __future__ import annotations
@@ -207,27 +209,74 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
     """Columns {mu: {nu: c}} with A_k m_mu = sum c m_nu over the partitions
     of the degree.
 
-    m_mu has rational power-sum coefficients, so each column is one cheap
-    `A_k_apply`.  A column reaching above mu in dominance, or (symbolically)
-    an entry whose denominator is not a monomial, raises BadMatrixEntry.
+    The matrix is the k-th term of the finite operator A_N(u) at N = degree
+    (`_A_matrices`).  Restriction to N variables loses no monomial of the
+    degree, and takes A_k f to the k-th term of A_N(u) on the restricted f
+    (`verify symbol` certifies this, and the Hall-Littlewood symbol
+    `A_k_apply`, against the matrix), so A_k vanishes for k > degree.  Every
+    entry is a Laurent polynomial in q and t.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+
     def build():
-        out = {}
-        for mu in enumerate_partitions(degree):
-            column = convert(A_k_apply(k, SymFun.generator("m", mu, field=field)), "m").coeffs
-            for nu, c in column.items():
-                if not dominates(mu, nu):
-                    fault = "lies outside the lower order ideal of the column"
-                elif field.is_symbolic and len(c.den.terms) != 1:
-                    fault = "has the denominator %s, not a monomial" % (c.den,)
-                else:
-                    continue
-                raise BadMatrixEntry("A_%d at degree %d: the entry at row %r, column %r %s"
-                                     % (k, degree, tuple(nu), tuple(mu), fault))
-            out[mu] = column
-        return out
+        matrices = _A_matrices(degree, field)
+        return matrices[k] if k < len(matrices) else {mu: {} for mu in matrices[0]}
 
     return _memo(("A_k", k, degree, field), build)
+
+
+def _A_matrices(degree, field):
+    """[A_0, .., A_N] on the monomials of the degree, N = degree, from
+    q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
+
+    In v = -u, `_dn_table` gives each entry as integer numerators
+    sum_s L_s v^s, and (u;1/t)_N = prod_(j<N) (1 + v t^-j).  As in
+    `_partial_fractions`, step k reads e_k off the v^(N-k) coefficient, the
+    top one still left, here divided by the top coefficient t^-S of
+    prod_(j=k)^(N-1) (1 + v t^-j), S = k + .. + (N-1): a monomial, so the
+    e_k are integer dicts {(a, i): n} found with no gcd, and each is lifted
+    once.  Columns are taken one at a time, so no integer table outlives
+    its column.  An entry above its column in dominance raises
+    BadMatrixEntry.
+    """
+    def build():
+        N = degree
+        tails = []
+        for k in range(N + 1):
+            # prod_(j=k)^(N-1) (1 + v t^-j) as a v-list of {i: n}, n t^-i
+            tail = [{0: 1}]
+            for j in range(k, N):
+                tail = [dict(c) for c in tail] + [{}]
+                for s in range(len(tail) - 1, 0, -1):
+                    for i, n in tail[s - 1].items():
+                        tail[s][i + j] = tail[s].get(i + j, 0) + n
+            tails.append(tail)
+        lift = families._laurent_lift(-degree, field)
+        out = [{} for _ in range(N + 1)]
+        for mu, column in families._dn_table(degree, degree):
+            for matrix in out:
+                matrix[mu] = {}
+            for nu, residual in column.items():
+                for k, tail in enumerate(tails):
+                    lead = sum(range(k, N))
+                    e = {(a, i - lead): n for (a, i), n in residual[N - k].items() if n}
+                    if not e:
+                        continue
+                    if not dominates(mu, nu):
+                        raise BadMatrixEntry(
+                            "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
+                            "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
+                    out[k][mu][nu] = lift(e)
+                    for s in range(N - k):
+                        target = residual[s]
+                        for j, m in tail[s].items():
+                            for (a, i), n in e.items():
+                                key = (a, i + j)
+                                target[key] = target.get(key, 0) - m * n
+        return out
+
+    return _memo(("A_table", degree, field), build)
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):

@@ -314,6 +314,36 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     return _finish("commute", params, t0, True)
 
 
+def check_symbol(degree, max_k, field=SYMBOLIC):
+    """For 1 <= k <= max_k, the matrix of A_k on the monomials of one
+    degree, built from the finite operator at N = degree, against the
+    paper's symbol (the Hall-Littlewood operator sum `A_k_apply`) column by
+    column, and against the k-th term of A_N(u) on the restriction of each
+    m_mu for every N from ell(mu) to degree + 1 (zero when N < k)."""
+    t0 = time.perf_counter()
+    params = {"degree": degree, "max_k": max_k}
+    matrices = {k: macops.A_k_matrix(k, degree, field) for k in range(1, max_k + 1)}
+    for mu in enumerate_partitions(degree):
+        m_mu = SymFun.generator("m", mu, field=field)
+        for k, matrix in matrices.items():
+            nu = _first_difference(_nonzero(convert(macops.A_k_apply(k, m_mu), "m").coeffs), matrix[mu])
+            if nu is not None:
+                return _finish("symbol", params, t0, False,
+                               "A_%d against its symbol at degree %d: row m[%s], column m[%s]"
+                               % (k, degree, format_partition(nu), format_partition(mu)))
+        for N in range(len(mu), degree + 2):
+            finite = macops.apply_AN(restrict(m_mu, N))
+            for k, matrix in matrices.items():
+                got = finite.entry(k)
+                nu = _first_difference(got.coeffs if got else {},
+                                       {nu: c for nu, c in matrix[mu].items() if len(nu) <= N})
+                if nu is not None:
+                    return _finish("symbol", params, t0, False,
+                                   "A_%d against A_N at N=%d, degree %d: row m[%s], column m[%s]"
+                                   % (k, N, degree, format_partition(nu), format_partition(mu)))
+    return _finish("symbol", params, t0, True)
+
+
 def check_corollary(k, mu, u_samples, field=SYMBOLIC):
     """q-commutator step relations at integer u samples, both directions."""
     t0 = time.perf_counter()
@@ -618,6 +648,12 @@ def suite_commute(config, field=SYMBOLIC):
                 yield check_commute(k, l, w, field)
 
 
+def suite_symbol(config, field=SYMBOLIC):
+    max_k = config.get("max_k", 3)
+    for w in range(1, config.get("max_degree", 5) + 1):
+        yield check_symbol(w, max_k, field)
+
+
 def suite_corollary(config, field=SYMBOLIC):
     max_w = config.get("max_weight", 4)
     samples = config.get("u_samples", (2, 3, 5))
@@ -660,6 +696,7 @@ SUITES = {
     "deigen": suite_deigen,
     "theorem": suite_theorem,
     "commute": suite_commute,
+    "symbol": suite_symbol,
     "corollary": suite_corollary,
     "proposition": suite_proposition,
     "finite-symbol": suite_finite_symbol,

@@ -4,7 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from qtsym import macops, symfun
+from qtsym import families, macops, symfun
 from qtsym.families import macdonald_M
 from qtsym.macops import (
     A_eigen,
@@ -330,7 +330,7 @@ def test_A_k_matrix_matches_operator_sum(field, top):
     # the memoised matrix against the p-basis operator sum on random operands
     rng = random.Random(9)
     for degree in range(top + 1):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4) if degree >= 4 else (1, 2, 3):
             matrix = A_k_matrix(k, degree, field)
             for _ in range(2):
                 f = _random_m_operand(rng, degree, field)
@@ -347,25 +347,46 @@ def test_A_k_matrix_diagonal_is_the_eigenvalue():
                 assert matrix[lam].get(lam, F.zero) == expected, (k, lam)
 
 
-@pytest.mark.parametrize("extra,where", [
-    # m_2 added to the column of m_(1,1): an entry above it in dominance
-    (lambda f: convert(SymFun.generator("m", (2,)), "p") if Partition((1, 1)) in f.coeffs else None,
-     "row (2,), column (1, 1) lies outside the lower order ideal"),
-    # f / (1 - q) added: a diagonal entry whose denominator is not a monomial
-    (lambda f: convert(f, "p").scale(one / (one - F.q)), "row (2,), column (2,) has the denominator"),
-])
-def test_A_k_matrix_invariants_raise(monkeypatch, extra, where):
-    real = macops.A_k_apply
+def test_A_k_matrix_refuses_entry_outside_order_ideal(monkeypatch):
+    # m_2 added to the column of m_(1,1) in the integer table, at u^1: an
+    # entry above its column in dominance, first seen in A_1
+    table = families._dn_table
 
-    def faulty(k, f, degree_bound=None):
-        out = real(k, f, degree_bound)
-        add = extra(f)
-        return out if add is None else out + add
+    def bad_table(degree, top):
+        out = dict(table(degree, top))
+        if degree == 2:
+            out[P(1, 1)][P(2)] = [{}, {(0, 0): 1}, {}]
+        return out.items()
 
     monkeypatch.setattr(symfun, "_CACHE", {})
-    monkeypatch.setattr(macops, "A_k_apply", faulty)
+    monkeypatch.setattr(families, "_dn_table", bad_table)
+    where = "row (2,), column (1, 1) lies outside the lower order ideal"
     with pytest.raises(BadMatrixEntry, match=r"A_1 at degree 2: the entry at " + re.escape(where)):
         A_k_matrix(1, 2)
+
+
+def test_A_k_matrix_denominators_are_monomials():
+    for degree in range(7):
+        for k in range(degree + 1):
+            for mu, column in A_k_matrix(k, degree).items():
+                for nu, c in column.items():
+                    assert len(c.den.terms) == 1, (k, mu, nu, c)
+
+
+@pytest.mark.parametrize("field", [F, random_point(random.Random(5))], ids=["symbolic", "numeric"])
+def test_A_k_matrix_edge_cases(field):
+    # A_0 is the identity, A_k vanishes for k above the degree, and degree 0
+    # holds the one constant
+    try:
+        for degree in range(5):
+            lams = enumerate_partitions(degree)
+            assert A_k_matrix(0, degree, field) == {mu: {mu: field.one} for mu in lams}
+            for k in (degree + 1, degree + 2):
+                assert A_k_matrix(k, degree, field) == {mu: {} for mu in lams}
+        assert A_k_matrix(0, 0, field) == {P(): {P(): field.one}}
+        assert A_k_matrix(1, 0, field) == {P(): {}}
+    finally:
+        symfun.clear_field_caches(field)
 
 
 def test_pieri_up_examples():

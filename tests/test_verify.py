@@ -25,6 +25,7 @@ from qtsym.verify import (
     check_hl_cauchy,
     check_kernel_lemma,
     check_proposition,
+    check_symbol,
     check_theorem_basic,
     kernel_pi,
     run_suite,
@@ -159,6 +160,36 @@ def test_commute_failure_on_the_diagonal(monkeypatch):
     assert report.witness == "diagonal of A_1 at degree 3: row m[3], column m[3]"
 
 
+def test_symbol_sweep_passes():
+    reports = list(run_suite("symbol", {"max_degree": 3, "max_k": 4}))
+    assert all(r.passed() and r.witness is None for r in reports), [r.witness for r in reports]
+    assert [r.parameters for r in reports] == [{"degree": d, "max_k": 4} for d in (1, 2, 3)]
+
+
+def test_symbol_failure_names_the_entry(monkeypatch):
+    # the matrix disagrees with the Hall-Littlewood operator sum
+    _perturb(monkeypatch, 1, 3, lambda a: _add_one(a, P(1, 1, 1), P(2, 1)))
+    report = check_symbol(3, 2)
+    assert not report.passed()
+    assert report.witness == "A_1 against its symbol at degree 3: row m[1,1,1], column m[2,1]"
+
+
+def test_symbol_failure_names_N(monkeypatch):
+    # the finite operator at N = 2 gains m_(1,1) in its 1/(u;1/t)_1 term
+    real = macops.apply_AN
+
+    def faulty(f):
+        out = real(f)
+        if f.N == 2:
+            out.entries[1] = out.entries[1] + NSymPoly(2, {P(1, 1): one})
+        return out
+
+    monkeypatch.setattr(macops, "apply_AN", faulty)
+    report = check_symbol(2, 3)
+    assert not report.passed()
+    assert report.witness == "A_1 against A_N at N=2, degree 2: row m[1,1], column m[2]"
+
+
 def test_corollary_examples():
     assert check_corollary(1, P(), (2,)).passed()
     assert check_corollary(2, P(1), (2, 3)).passed()
@@ -278,7 +309,7 @@ def test_fail_report_carries_witness():
 def test_numeric_mode_agrees_with_symbolic():
     rng = random.Random(20260809)
     config = {"max_degree": 2, "max_k": 2, "degree": 2, "max_weight": 2, "N": 2}
-    names = ("hl-cauchy", "green", "theorem", "commute", "proposition")
+    names = ("hl-cauchy", "green", "theorem", "commute", "symbol", "proposition")
     symbolic = {}
     for name in names:
         symbolic[name] = [r.passed() for r in run_suite(name, config)]
