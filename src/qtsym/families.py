@@ -143,22 +143,21 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 # Macdonald functions as eigenvectors of D^1
 
-def _dn_table(degree, top):
-    """D_N(u) at N = degree on monomials, through u^top, as integers: yields
-    (nu, {mu: [L_0, .., L_top]}) over the partitions nu of the degree, the
-    u^s coefficient of the m_mu coefficient of D_N(u) m_nu being
-    (-1)^s sum n q^a t^-i over the items ((a, i), n) of L_s.  top = 1 gives
-    D^1; top = degree gives all of D_N(u), one column at a time.
+def _dn_table(degree, N, top):
+    """D_N(u) on the monomials of one degree in N variables, through u^top,
+    as integers: yields (nu, {mu: [L_0, .., L_top]}) over nu and mu of the
+    degree with at most N parts, the u^s coefficient of the m_mu coefficient
+    of D_N(u) m_nu being (-1)^s sum n q^a t^-i over the items ((a, i), n) of
+    L_s.  top = 1 gives D^1; top = N gives all of D_N(u), one column at a time.
 
     On x^e, e a permutation of nu, D_N(u) reads prod_i (1 - u q^(e_i) t^-i)
     times A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each
     s_rho to monomials.
     """
-    N = degree
     kostka = kostka_rows(degree)
     # the u-powers factor i can reach, from the top down
     powers = [range(min(i + 1, top), 0, -1) for i in range(N)]
-    for nu in kostka:
+    for nu in enumerate_partitions(degree, max_length=N):
         by_schur = {}
         for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
             index = _alternant_index(tuple(x + N - 1 - i for i, x in enumerate(e)))
@@ -184,6 +183,8 @@ def _dn_table(degree, top):
         column = {}
         for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
+                if len(mu) > N:
+                    continue
                 entry = column.get(mu)
                 if entry is None:
                     entry = column[mu] = [{} for _ in range(top + 1)]
@@ -193,6 +194,17 @@ def _dn_table(degree, top):
         column = {mu: [{key: n for key, n in poly.items() if n} for poly in entry]
                   for mu, entry in column.items()}
         yield nu, {mu: entry for mu, entry in column.items() if any(entry)}
+
+
+def _dn_slices(column, field):
+    """One column of `_dn_table` over the field: its u^s slices {mu: c}."""
+    lift = _laurent_lift(0, field)
+    out = [{} for _ in next(iter(column.values()))]
+    for mu, entry in column.items():
+        for s, poly in enumerate(entry):
+            if poly:
+                out[s][mu] = lift({key: -n for key, n in poly.items()} if s % 2 else poly)
+    return out
 
 
 def _laurent_lift(shift, field):
@@ -221,23 +233,6 @@ def _laurent_lift(shift, field):
     return lift
 
 
-def _d1_matrix(degree, field):
-    """D^1, the u^1 slice of `_dn_table`, over the field.  Each column is
-    checked to lie in the lower order ideal of its nu."""
-    lift = _laurent_lift(0, field)
-    out = {}
-    for nu, column in _dn_table(degree, 1):
-        out[nu] = {}
-        for mu, entry in column.items():
-            if not dominates(nu, mu):
-                raise SingularTransition(
-                    "D^1 m_%r touches m_%r, outside the lower order ideal" % (tuple(nu), tuple(mu))
-                )
-            if entry[1]:
-                out[nu][mu] = -lift(entry[1])
-    return out
-
-
 def _macdonald_degree(degree, field):
     """{lam: c} with M_lam = sum_mu c[mu] m_mu, the eigenvectors of D^1.
 
@@ -246,7 +241,13 @@ def _macdonald_degree(degree, field):
     solved for mu in descending dominance.
     """
     def build():
-        d1 = _d1_matrix(degree, field)
+        d1 = {}
+        for nu, column in _dn_table(degree, degree, 1):
+            d1[nu] = _dn_slices(column, field)[1]
+            for mu in d1[nu]:
+                if not dominates(nu, mu):
+                    raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"
+                                             % (tuple(nu), tuple(mu)))
         order = sorted(d1, key=grevlex_key)
         out = {}
         for pos, lam in enumerate(order):

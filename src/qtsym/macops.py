@@ -1,10 +1,11 @@
 """Macdonald difference operators: the finite-N determinantal operator,
-its renormalised form, the stable limits indexed by k (as the paper's
-symbol, a Hall-Littlewood operator sum on power sums, and as memoised
-matrices on the monomials of one degree, read off the finite operator at N
-= degree in integer arithmetic), eigenvalue data in the 1/(u;1/t)_k basis,
-Pieri coefficients, and the raising/lowering step families with their
-one-box evaluations.
+read off the integer table `families._dn_table` at N, its renormalised
+form, whose matrices come from that table by integer partial fractions,
+the stable limits indexed by k (as the paper's symbol, a Hall-Littlewood
+operator sum on power sums, and as memoised matrices on the monomials of
+one degree, the renormalised form's at N = degree), eigenvalue data in
+the 1/(u;1/t)_k basis, Pieri coefficients, and the raising/lowering step
+families with their one-box evaluations.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from .symfun import (
     NotDivisible,
     NSymPoly,
     SymFun,
-    XPoly,
     _memo,
     adjoint_apply,
-    alternant_quotient,
+    axpy,
     convert,
-    expand_x,
     p_multiply,
 )
 
@@ -103,9 +102,14 @@ def _up_product(factors, field):
     return out
 
 
+def _pochhammer_upoly(k, field):
+    # (u;1/t)_k as a u-polynomial
+    return _up_product(((field.one, -(field.t ** (-j))) for j in range(k)), field)
+
+
 def pochhammer_u(u0, k, field):
     """(u0; 1/t)_k = prod_{j<k} (1 - u0 t^-j)."""
-    return up_eval(_pochhammer_tail_upoly(0, k, field), u0, field)
+    return up_eval(_pochhammer_upoly(k, field), u0, field)
 
 
 class URat:
@@ -139,43 +143,60 @@ def apply_DN(f):
     """Coefficients of the u-polynomial D_N(u) f, as N-variable polynomials.
 
     N = f.N and D_N(u) = a_delta^-1 sum_w eps(w) w(x^delta prod_i
-    (1 - u t^-i T_{q,x_i})), i = 0..N-1.  f is symmetric, so one alternant
-    quotient per power of u serves: on a monomial x^e of f the product is
-    prod_i (1 - u q^(e_i) t^-i).
+    (1 - u t^-i T_{q,x_i})), i = 0..N-1: the columns of
+    `families._dn_table` at N, summed over the monomials of f one degree at
+    a time.
     """
     N = f.N
     field = f.field
-    delta = range(N - 1, -1, -1)
     sums = [{} for _ in range(N + 1)]
-    for e, c in expand_x(f).coeffs.items():
-        shifted = tuple(a + b for a, b in zip(e, delta))
-        ys = _up_product(((field.one, -(field.q ** a * field.t ** (-i))) for i, a in enumerate(e)), field)
-        for size, y in enumerate(ys):
-            sums[size][shifted] = c * y
-    return [alternant_quotient(XPoly(N, g, field)) for g in sums]
+    for degree in {sum(nu) for nu in f.coeffs}:
+        for nu, column in families._dn_table(degree, N, N):
+            if nu in f.coeffs:
+                for total, piece in zip(sums, families._dn_slices(column, field)):
+                    axpy(total, piece, f.coeffs[nu])
+    return [NSymPoly(N, total, field) for total in sums]
 
 
-def _pochhammer_tail_upoly(k, N, field):
-    # prod_{j=k}^{N-1} (1 - u t^-j) as a u-polynomial
-    return _up_product(((field.one, -(field.t ** (-j))) for j in range(k, N)), field)
+def _v_product(factors):
+    """prod (c + v d) over the pairs (c, d) of factors, c and d keys (a, i)
+    of monomials q^a t^-i, as a v-list of integer dicts {(a, i): n}."""
+    out = [{(0, 0): 1}]
+    for (a0, i0), (a1, i1) in factors:
+        new = [{} for _ in range(len(out) + 1)]
+        for s, poly in enumerate(out):
+            for (a, i), n in poly.items():
+                new[s][a + a0, i + i0] = new[s].get((a + a0, i + i0), 0) + n
+                new[s + 1][a + a1, i + i1] = new[s + 1].get((a + a1, i + i1), 0) + n
+        out = new
+    return out
 
 
-def _partial_fractions(num, N, field):
-    """Exact e_0..e_N with num(u) / (u;1/t)_N = sum_k e_k / (u;1/t)_k.
+def _pochhammer_tails(N):
+    """prod_(j=k)^(N-1) (1 + v t^-j), k = 0..N: the tails of (u;1/t)_N in v = -u."""
+    return [_v_product(((0, 0), (0, j)) for j in range(k, N)) for k in range(N + 1)]
 
-    num is a u-coefficient list.  Multiplied out, the identity reads
-    sum_k e_k prod_{j=k}^{N-1} (1 - u t^-j) = num(u); step k reads e_k off
-    the coefficient of u^(N-k), the top one still left.
+
+def _split_pochhammer(num, tails):
+    """Exact e_0..e_N with num(v) / (u;1/t)_N = sum_k e_k / (u;1/t)_k, v = -u,
+    tails = `_pochhammer_tails(N)`, num a v-list of integer dicts {(a, i): n}
+    (sum n q^a t^-i), used up.  Step k reads e_k off the v^(N-k) coefficient,
+    the top one still left, divided by the top coefficient t^-(k + .. + N-1)
+    of its tail, so no gcd is taken.
     """
-    residual = list(num) + [field.zero] * (N + 1 - len(num))
+    N = len(tails) - 1
     out = []
-    for k in range(N + 1):
-        tail = _pochhammer_tail_upoly(k, N, field)
-        e = residual[N - k] / tail[-1]
+    for k, tail in enumerate(tails):
+        lead = sum(range(k, N))
+        e = {(a, i - lead): n for (a, i), n in num[N - k].items() if n}
         out.append(e)
-        for j, c in enumerate(tail):
-            residual[j] = residual[j] - e * c
-    if any(residual):
+        for s in range(N - k):
+            target = num[s]
+            for (b, j), m in tail[s].items():
+                for (a, i), n in e.items():
+                    key = (a + b, i + j)
+                    target[key] = target.get(key, 0) - m * n
+    if any(n for poly in num[N + 1:] for n in poly.values()):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
     return out
 
@@ -184,13 +205,10 @@ def apply_AN(f):
     """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand."""
     N = f.N
     field = f.field
-    coeffs = apply_DN(f)
     entries = [{} for _ in range(N + 1)]
-    for mu in {mu for c in coeffs for mu in c.coeffs}:
-        shift = field.q ** (-sum(mu))
-        ups = [c.coeffs.get(mu, field.zero) * shift for c in coeffs]
-        for k, e in enumerate(_partial_fractions(ups, N, field)):
-            entries[k][mu] = e
+    for mu, c in f.coeffs.items():
+        for total, matrix in zip(entries, _A_matrices(sum(mu), N, field)):
+            axpy(total, matrix[mu], c)
     return UFamily(NSymPoly(N, e, field) for e in entries)
 
 
@@ -220,47 +238,30 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
         raise ValueError("k must be nonnegative")
 
     def build():
-        matrices = _A_matrices(degree, field)
+        matrices = _A_matrices(degree, degree, field)
         return matrices[k] if k < len(matrices) else {mu: {} for mu in matrices[0]}
 
     return _memo(("A_k", k, degree, field), build)
 
 
-def _A_matrices(degree, field):
-    """[A_0, .., A_N] on the monomials of the degree, N = degree, from
+def _A_matrices(degree, N, field):
+    """[A_0, .., A_N] on the m_mu of the degree with ell(mu) <= N, from
     q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
 
-    In v = -u, `_dn_table` gives each entry as integer numerators
-    sum_s L_s v^s, and (u;1/t)_N = prod_(j<N) (1 + v t^-j).  As in
-    `_partial_fractions`, step k reads e_k off the v^(N-k) coefficient, the
-    top one still left, here divided by the top coefficient t^-S of
-    prod_(j=k)^(N-1) (1 + v t^-j), S = k + .. + (N-1): a monomial, so the
-    e_k are integer dicts {(a, i): n} found with no gcd, and each is lifted
-    once.  Columns are taken one at a time, so no integer table outlives
-    its column.  An entry above its column in dominance raises
-    BadMatrixEntry.
+    `_split_pochhammer` takes the partial fractions of the integer entries
+    of `_dn_table`, and each e_k is lifted once.  Columns are taken one at a
+    time, so no integer table outlives its column.  An entry above its
+    column in dominance raises BadMatrixEntry.
     """
     def build():
-        N = degree
-        tails = []
-        for k in range(N + 1):
-            # prod_(j=k)^(N-1) (1 + v t^-j) as a v-list of {i: n}, n t^-i
-            tail = [{0: 1}]
-            for j in range(k, N):
-                tail = [dict(c) for c in tail] + [{}]
-                for s in range(len(tail) - 1, 0, -1):
-                    for i, n in tail[s - 1].items():
-                        tail[s][i + j] = tail[s].get(i + j, 0) + n
-            tails.append(tail)
+        tails = _pochhammer_tails(N)
         lift = families._laurent_lift(-degree, field)
         out = [{} for _ in range(N + 1)]
-        for mu, column in families._dn_table(degree, degree):
+        for mu, column in families._dn_table(degree, N, N):
             for matrix in out:
                 matrix[mu] = {}
-            for nu, residual in column.items():
-                for k, tail in enumerate(tails):
-                    lead = sum(range(k, N))
-                    e = {(a, i - lead): n for (a, i), n in residual[N - k].items() if n}
+            for nu, num in column.items():
+                for k, e in enumerate(_split_pochhammer(num, tails)):
                     if not e:
                         continue
                     if not dominates(mu, nu):
@@ -268,15 +269,9 @@ def _A_matrices(degree, field):
                             "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
                             "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
                     out[k][mu][nu] = lift(e)
-                    for s in range(N - k):
-                        target = residual[s]
-                        for j, m in tail[s].items():
-                            for (a, i), n in e.items():
-                                key = (a, i + j)
-                                target[key] = target.get(key, 0) - m * n
         return out
 
-    return _memo(("A_table", degree, field), build)
+    return _memo(("A_table", degree, N, field), build)
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):
@@ -307,7 +302,7 @@ def A_eigen(lam, field=SYMBOLIC):
     prod_i (q^(-lam_i) - u t^(1-i)) over (u;1/t)_ell."""
     lam = Partition(lam)
     num = _up_product(_eigen_factors(lam, field), field)
-    return URat(num, _pochhammer_tail_upoly(0, len(lam), field), field)
+    return URat(num, _pochhammer_upoly(len(lam), field), field)
 
 
 def _eigen_factors(lam, field, skip=None):
@@ -320,10 +315,13 @@ def A_k_eigen(lam, field=SYMBOLIC):
     """Coefficients e_k(lam) with the eigenvalue equal to sum e_k/(u;1/t)_k.
 
     The denominator of A_eigen(lam) is (u;1/t)_ell, so the e_k are the
-    exact partial fractions of its numerator.
+    exact partial fractions of its numerator, prod_i (q^(-lam_i) + v t^(1-i))
+    in v = -u.
     """
     lam = Partition(lam)
-    return UFamily(_partial_fractions(A_eigen(lam, field).num, len(lam), field))
+    num = _v_product(((-part, 0), (0, i)) for i, part in enumerate(lam))
+    lift = families._laurent_lift(0, field)
+    return UFamily(lift(e) if e else field.zero for e in _split_pochhammer(num, _pochhammer_tails(len(lam))))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +397,7 @@ def open_slot_factor(lam, i, field=SYMBOLIC):
     lam = Partition(lam)
     num = _up_product(_eigen_factors(lam, field, skip=i), field)
     num = [field.t ** (1 - i) * c for c in num]
-    return URat(num, _pochhammer_tail_upoly(0, len(lam), field), field)
+    return URat(num, _pochhammer_upoly(len(lam), field), field)
 
 
 def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):

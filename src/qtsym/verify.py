@@ -650,7 +650,9 @@ def suite_commute(config, field=SYMBOLIC):
 
 def suite_symbol(config, field=SYMBOLIC):
     max_k = config.get("max_k", 3)
-    for w in range(1, config.get("max_degree", 5) + 1):
+    # with no k, a check would compare no matrix
+    top = config.get("max_degree", 5) if max_k >= 1 else 0
+    for w in range(1, top + 1):
         yield check_symbol(w, max_k, field)
 
 

@@ -87,6 +87,17 @@ def test_apply_DN(capsys):
     )
     assert code == 0
     assert out.strip() == "u^0: m[2], u^1: (-q^2)*m[2]"
+    # N = 0 keeps the constant; at N = 2 a mixed-degree operand keeps m[2,1]
+    # and the degree-0 term
+    code, out, _ = run_cli(capsys, "apply", "--op", "DN", "--N", "0", "--to-expr", "m[2,1]+3")
+    assert code == 0
+    assert out.strip() == "u^0: 3"
+    code, out, _ = run_cli(capsys, "apply", "--op", "DN", "--N", "2", "--to-expr", "m[2,1]+m[1]+1")
+    assert code == 0
+    assert out.strip() == (
+        "u^0: 1 + m[1] + m[2,1], u^1: (-1-t)/t + ((-1-q*t)/t)*m[1] + ((-q-q^2*t)/t)*m[2,1], "
+        "u^2: 1/t + (q/t)*m[1] + (q^3/t)*m[2,1]"
+    )
 
 
 def test_apply_B_raises_degree(capsys):

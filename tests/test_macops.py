@@ -33,6 +33,7 @@ from qtsym.partitions import (
 )
 from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
 from qtsym.symfun import (
+    NotDivisible,
     NSymPoly,
     SymFun,
     XPoly,
@@ -126,6 +127,72 @@ def test_DN_matches_explicit_alternant_construction():
             for lam in enumerate_partitions(w, max_length=N):
                 f = restrict(macdonald_M(lam, field=point), N)
                 assert apply_DN(f) == _apply_DN_reference(f), (N, lam)
+
+
+def test_dn_table_matches_explicit_alternant():
+    # every power of u in the lifted integer table against the explicit
+    # alternant, for every N from 0 to degree + 1: a column for each nu with
+    # ell(nu) <= N, none for the others, whose restriction vanishes
+    for field in (F, random_point(random.Random(20261018))):
+        for d in range(5):
+            for N in range(d + 2):
+                columns = dict(families._dn_table(d, N, N))
+                assert list(columns) == [nu for nu in enumerate_partitions(d) if len(nu) <= N], (d, N)
+                for nu, column in columns.items():
+                    got = [NSymPoly(N, c, field) for c in families._dn_slices(column, field)]
+                    m_nu = SymFun.generator("m", nu, field=field)
+                    assert got == _apply_DN_reference(restrict(m_nu, N)), (d, N, nu)
+
+
+def test_d1_columns_match_explicit_alternant():
+    # the u^1 slice of the table through u^1 only, which the Macdonald
+    # build solves against, at N = degree
+    for field in (F, random_point(random.Random(20261018))):
+        for d in range(1, 5):
+            for nu, column in families._dn_table(d, d, 1):
+                got = NSymPoly(d, families._dn_slices(column, field)[1], field)
+                m_nu = SymFun.generator("m", nu, field=field)
+                assert got == _apply_DN_reference(restrict(m_nu, d))[1], (d, nu)
+
+
+def test_DN_and_AN_on_edge_operands():
+    # N = 0, degree-0 and mixed-degree operands, and N above the degree.
+    # A_N(u) is checked against q^(-deg) D_N(u) / (u;1/t)_N with D_N from the
+    # explicit alternant: both sides times (u;1/t)_N have u-degree <= N, so
+    # N + 1 values of u decide the identity
+    for field in (F, random_point(random.Random(20261018))):
+        c = field.from_int(3) * field.q / (field.one - field.q * field.t)
+        operands = [
+            (0, {P(): field.from_int(3)}),
+            (0, {P(2, 1): field.one, P(): field.from_int(3)}),
+            (2, {P(2, 1): field.one, P(1): field.one, P(): field.one}),
+            (3, {P(): c}),
+            (3, {P(2): field.one, P(1, 1): c, P(1): field.from_int(-2)}),
+            (4, {P(2, 1): c, P(3): field.one}),
+            (5, {P(1): field.one, P(): c}),
+        ]
+        for N, coeffs in operands:
+            f = restrict(SymFun("m", coeffs, 3, field), N)
+            by_degree = {}
+            for mu, a in f.coeffs.items():
+                by_degree.setdefault(sum(mu), {})[mu] = a
+            renormalised = [(field.q ** (-d), _apply_DN_reference(NSymPoly(N, part, field)))
+                            for d, part in by_degree.items()]
+            expected = [NSymPoly(N, {}, field) for _ in range(N + 1)]
+            for _, coeffs_u in renormalised:
+                expected = [a + b for a, b in zip(expected, coeffs_u)]
+            assert apply_DN(f) == expected, (N, coeffs)
+            fam = apply_AN(f)
+            assert len(fam) == N + 1
+            for u0 in map(field.from_int, range(2, N + 3)):
+                lhs = NSymPoly(N, {}, field)
+                for k, entry in enumerate(fam.entries):
+                    lhs = lhs + entry.scale(field.one / pochhammer_u(u0, k, field))
+                rhs = NSymPoly(N, {}, field)
+                for shift, coeffs_u in renormalised:
+                    for s, g in enumerate(coeffs_u):
+                        rhs = rhs + g.scale(shift * u0 ** s / pochhammer_u(u0, N, field))
+                assert lhs == rhs, (N, coeffs, u0)
 
 
 def test_deigen_small_sweep():
@@ -259,6 +326,16 @@ def test_A_k_eigen_reconstructs_eigenvalue():
                 assert total == eig.at(u0), (lam, field)
 
 
+def test_partial_fractions_refuse_a_surviving_residue():
+    # over (u;1/t)_N a numerator of v-degree N splits exactly; one of degree
+    # N + 1 leaves a residue
+    for N in range(4):
+        tails = macops._pochhammer_tails(N)
+        assert len(macops._split_pochhammer([{(k, k): 1} for k in range(N + 1)], tails)) == N + 1
+        with pytest.raises(NotDivisible, match="degree of num exceeds %d" % N):
+            macops._split_pochhammer([{(k, k): 1} for k in range(N + 2)], tails)
+
+
 def test_e1_closed_form():
     for lam in partitions_up_to(5):
         if not lam:
@@ -352,8 +429,8 @@ def test_A_k_matrix_refuses_entry_outside_order_ideal(monkeypatch):
     # entry above its column in dominance, first seen in A_1
     table = families._dn_table
 
-    def bad_table(degree, top):
-        out = dict(table(degree, top))
+    def bad_table(degree, N, top):
+        out = dict(table(degree, N, top))
         if degree == 2:
             out[P(1, 1)][P(2)] = [{}, {(0, 0): 1}, {}]
         return out.items()

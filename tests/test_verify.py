@@ -166,6 +166,12 @@ def test_symbol_sweep_passes():
     assert [r.parameters for r in reports] == [{"degree": d, "max_k": 4} for d in (1, 2, 3)]
 
 
+def test_symbol_sweep_without_k_makes_no_check():
+    # max_k < 1 leaves no matrix to compare, as in the theorem and commute sweeps
+    for max_k in (0, -1):
+        assert list(run_suite("symbol", {"max_k": max_k})) == []
+
+
 def test_symbol_failure_names_the_entry(monkeypatch):
     # the matrix disagrees with the Hall-Littlewood operator sum
     _perturb(monkeypatch, 1, 3, lambda a: _add_one(a, P(1, 1, 1), P(2, 1)))
