@@ -2,10 +2,14 @@
 read off the integer table `families._dn_table` at N, its renormalised
 form, whose matrices come from that table by integer partial fractions,
 the stable limits indexed by k (as the paper's symbol, a Hall-Littlewood
-operator sum on power sums, and as memoised matrices on the monomials of
-one degree, the renormalised form's at N = degree), eigenvalue data in
-the 1/(u;1/t)_k basis, Pieri coefficients, and the raising/lowering step
-families with their one-box evaluations.
+operator sum on power sums, and as matrices on the monomials of one
+degree, the renormalised form's at N = degree), eigenvalues, Pieri
+coefficients, and the raising/lowering step families with their one-box
+matrix elements and evaluations.
+
+Every function of u, the renormalised operator, an eigenvalue or a matrix
+element, is a `UFamily`: an expansion sum_k e_k / (u;1/t)_k, built by
+integer partial fractions (`_split_pochhammer`) and evaluated by `at`.
 """
 
 from __future__ import annotations
@@ -55,10 +59,12 @@ class BadMatrixEntry(ArithmeticError):
 
 
 class UFamily:
-    """Finite expansion over the basis 1/(u;1/t)_k, k = 0, 1, 2, ..."""
+    """Finite expansion sum_k entries[k] / (u;1/t)_k over the basis
+    1/(u;1/t)_k, k = 0, 1, 2, ..., with entries over the field."""
 
-    def __init__(self, entries):
+    def __init__(self, entries, field):
         self.entries = list(entries)
+        self.field = field
 
     def entry(self, k):
         return self.entries[k] if k < len(self.entries) else None
@@ -69,71 +75,31 @@ class UFamily:
     def __repr__(self):
         return "UFamily(%r)" % (self.entries,)
 
-
-# ---------------------------------------------------------------------------
-# u-polynomials as plain coefficient lists
-
-def up_mul(a, b, field):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def up_eval(a, u0, field):
-    total = field.zero
-    p = field.one
-    for c in a:
-        total = total + c * p
-        p = p * u0
-    return total
-
-
-def _up_product(factors, field):
-    """prod (a + b u) over the (a, b) pairs of factors, as a u-polynomial."""
-    out = [field.one]
-    for a, b in factors:
-        out = up_mul(out, [a, b], field)
-    return out
-
-
-def _pochhammer_upoly(k, field):
-    # (u;1/t)_k as a u-polynomial
-    return _up_product(((field.one, -(field.t ** (-j))) for j in range(k)), field)
+    def at(self, u0):
+        """The value at u = u0 for scalar entries, in Horner form over the
+        top denominator (u0;1/t)_(n-1), n = len(self): the running sum is
+        multiplied by 1 - u0 t^(1-k) before e_k is added, and divided once.
+        Raises PoleAtSample when that denominator vanishes."""
+        field = self.field
+        total = field.zero
+        den = field.one
+        for k, e in enumerate(self.entries):
+            if k:
+                factor = field.one - u0 * field.t ** (1 - k)
+                total = total * factor
+                den = den * factor
+            total = total + e
+        if not den:
+            raise PoleAtSample("u-denominator vanishes at the sample")
+        return total / den
 
 
 def pochhammer_u(u0, k, field):
     """(u0; 1/t)_k = prod_{j<k} (1 - u0 t^-j)."""
-    return up_eval(_pochhammer_upoly(k, field), u0, field)
-
-
-class URat:
-    """Ratio of two u-polynomials with coefficients in the scalar field."""
-
-    __slots__ = ("num", "den", "field")
-
-    def __init__(self, num, den, field):
-        self.num = list(num)
-        self.den = list(den)
-        self.field = field
-
-    def __mul__(self, other):
-        if isinstance(other, URat):
-            return URat(up_mul(self.num, other.num, self.field), up_mul(self.den, other.den, self.field), self.field)
-        return URat([c * other for c in self.num], self.den, self.field)
-
-    __rmul__ = __mul__
-
-    def at(self, u0):
-        d = up_eval(self.den, u0, self.field)
-        if not d:
-            raise PoleAtSample("u-denominator vanishes at the sample")
-        return up_eval(self.num, u0, self.field) / d
+    out = field.one
+    for j in range(k):
+        out = out * (field.one - u0 * field.t ** (-j))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +175,7 @@ def apply_AN(f):
     for mu, c in f.coeffs.items():
         for total, matrix in zip(entries, _A_matrices(sum(mu), N, field)):
             axpy(total, matrix[mu], c)
-    return UFamily(NSymPoly(N, e, field) for e in entries)
+    return UFamily((NSymPoly(N, e, field) for e in entries), field)
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +195,15 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
 
     The matrix is the k-th term of the finite operator A_N(u) at N = degree
     (`_A_matrices`).  Restriction to N variables loses no monomial of the
-    degree, and takes A_k f to the k-th term of A_N(u) on the restricted f
-    (`verify symbol` certifies this, and the Hall-Littlewood symbol
-    `A_k_apply`, against the matrix), so A_k vanishes for k > degree.  Every
-    entry is a Laurent polynomial in q and t.
+    degree, and takes A_k f to the k-th term of A_N(u) on the restricted f,
+    so A_k vanishes for k > degree.  `verify symbol` certifies the matrix
+    against the Hall-Littlewood symbol `A_k_apply` and against A_N(u) at
+    the other N.  Every entry is a Laurent polynomial in q and t.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-
-    def build():
-        matrices = _A_matrices(degree, degree, field)
-        return matrices[k] if k < len(matrices) else {mu: {} for mu in matrices[0]}
-
-    return _memo(("A_k", k, degree, field), build)
+    matrices = _A_matrices(degree, degree, field)
+    return matrices[k] if k < len(matrices) else {mu: {} for mu in matrices[0]}
 
 
 def _A_matrices(degree, N, field):
@@ -297,31 +259,18 @@ def _hl_sym(lam, kind, bound, field):
     return SymFun("p", families.hl_in_p(lam, kind, field), max(bound, sum(lam)), field)
 
 
-def A_eigen(lam, field=SYMBOLIC):
-    """Eigenvalue of the full family on M_lam, as a ratio of u-polynomials:
-    prod_i (q^(-lam_i) - u t^(1-i)) over (u;1/t)_ell."""
-    lam = Partition(lam)
-    num = _up_product(_eigen_factors(lam, field), field)
-    return URat(num, _pochhammer_upoly(len(lam), field), field)
-
-
-def _eigen_factors(lam, field, skip=None):
-    # the (a, b) pairs of the factors q^(-lam_i) - u t^(1-i), i != skip
-    return ((field.q ** (-part), -(field.t ** (1 - i)))
-            for i, part in enumerate(lam, start=1) if i != skip)
-
-
 def A_k_eigen(lam, field=SYMBOLIC):
-    """Coefficients e_k(lam) with the eigenvalue equal to sum e_k/(u;1/t)_k.
+    """The eigenvalue of the full family on M_lam,
+    prod_i (q^(-lam_i) - u t^(1-i)) / (u;1/t)_ell, as sum_k e_k / (u;1/t)_k.
 
-    The denominator of A_eigen(lam) is (u;1/t)_ell, so the e_k are the
-    exact partial fractions of its numerator, prod_i (q^(-lam_i) + v t^(1-i))
-    in v = -u.
+    The e_k are the exact partial fractions of the numerator,
+    prod_i (q^(-lam_i) + v t^(1-i)) in v = -u.
     """
     lam = Partition(lam)
     num = _v_product(((-part, 0), (0, i)) for i, part in enumerate(lam))
     lift = families._laurent_lift(0, field)
-    return UFamily(lift(e) if e else field.zero for e in _split_pochhammer(num, _pochhammer_tails(len(lam))))
+    entries = _split_pochhammer(num, _pochhammer_tails(len(lam)))
+    return UFamily((lift(e) if e else field.zero for e in entries), field)
 
 
 # ---------------------------------------------------------------------------
@@ -392,23 +341,23 @@ def step_family_at(kind, f, u0, max_k=None):
     return total
 
 
-def open_slot_factor(lam, i, field=SYMBOLIC):
-    """The eigenvalue product with the factor at slot i opened up."""
-    lam = Partition(lam)
-    num = _up_product(_eigen_factors(lam, field, skip=i), field)
-    num = [field.t ** (1 - i) * c for c in num]
-    return URat(num, _pochhammer_upoly(len(lam), field), field)
-
-
 def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
-    """Matrix element of B(u) (mu -> lam) or C(u) (lam -> mu), rational in u."""
+    """Matrix element of B(u) (mu -> lam) or C(u) (lam -> mu), as an
+    expansion over 1/(u;1/t)_k: the u-free scalar times the eigenvalue of
+    M_lam with its factor at slot i (the added box) opened up,
+    t^(1-i) prod_(j != i) (q^(-lam_j) - u t^(1-j)) / (u;1/t)_ell."""
     lam, mu = Partition(lam), Partition(mu)
     i = box_added_index(lam, mu)
     if i is None:
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
-    return open_slot_factor(lam, i, field) * _bc_scalar(kind, lam, mu, field)
+    # v-degree ell - 1, padded to the ell + 1 entries of (u;1/t)_ell
+    num = _v_product(((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1) + [{}]
+    scalar = _bc_scalar(kind, lam, mu, field) * field.t ** (1 - i)
+    lift = families._laurent_lift(0, field)
+    entries = _split_pochhammer(num, _pochhammer_tails(len(lam)))
+    return UFamily((lift(e) * scalar if e else field.zero for e in entries), field)
 
 
 def _bc_scalar(kind, lam, mu, field):

@@ -26,10 +26,8 @@ from .families import (
     morris_phi,
 )
 from .macops import (
-    A_eigen,
     A_k_eigen,
     PoleAtSample,
-    _up_product,
     pochhammer_u,
     step_series_apply,
 )
@@ -256,9 +254,11 @@ def check_deigen(N, lam, field=SYMBOLIC):
     f = restrict(macdonald_M(lam, field=field), N)
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
-    # prod_i (1 - u q^(lam_i) t^(1-i))
-    roots = (field.q ** part * field.t ** (1 - i) for i, part in enumerate(padded, start=1))
-    expect = _up_product(((field.one, -root) for root in roots), field)
+    # the u-coefficients of prod_i (1 - u q^(lam_i) t^(1-i))
+    expect = [field.one]
+    for i, part in enumerate(padded, start=1):
+        root = field.q ** part * field.t ** (1 - i)
+        expect = [a - root * b for a, b in zip(expect + [field.zero], [field.zero] + expect)]
     for k in range(N + 1):
         if coeffs[k] != f.scale(expect[k]):
             return _finish("deigen", params, t0, False, "u-power %d differs" % k)
@@ -316,10 +316,15 @@ def check_commute(k, l, degree, field=SYMBOLIC):
 
 def check_symbol(degree, max_k, field=SYMBOLIC):
     """For 1 <= k <= max_k, the matrix of A_k on the monomials of one
-    degree, built from the finite operator at N = degree, against the
-    paper's symbol (the Hall-Littlewood operator sum `A_k_apply`) column by
-    column, and against the k-th term of A_N(u) on the restriction of each
-    m_mu for every N from ell(mu) to degree + 1 (zero when N < k)."""
+    degree against the paper's symbol (the Hall-Littlewood operator sum
+    `A_k_apply`) column by column, and against the k-th term of A_N(u) on
+    the restriction of each m_mu for every N from ell(mu) to degree + 1
+    (zero when N < k) except N = degree.
+
+    The matrix *is* the k-th term of A_N(u) at N = degree: both read one
+    table, so that comparison could not fail and is not made.  The
+    independent oracle of that table is the explicit alternant of the
+    tests (`tests/test_macops.py::_apply_DN_reference`)."""
     t0 = time.perf_counter()
     params = {"degree": degree, "max_k": max_k}
     matrices = {k: macops.A_k_matrix(k, degree, field) for k in range(1, max_k + 1)}
@@ -332,6 +337,8 @@ def check_symbol(degree, max_k, field=SYMBOLIC):
                                "A_%d against its symbol at degree %d: row m[%s], column m[%s]"
                                % (k, degree, format_partition(nu), format_partition(mu)))
         for N in range(len(mu), degree + 2):
+            if N == degree:
+                continue
             finite = macops.apply_AN(restrict(m_mu, N))
             for k, matrix in matrices.items():
                 got = finite.entry(k)
@@ -355,7 +362,7 @@ def check_corollary(k, mu, u_samples, field=SYMBOLIC):
 
     def a_val(nu, u0):
         if (nu, u0) not in eig:
-            eig[(nu, u0)] = A_eigen(nu, field).at(field.from_int(u0))
+            eig[(nu, u0)] = A_k_eigen(nu, field).at(field.from_int(u0))
         return eig[(nu, u0)]
 
     # raising side: p1 A(u) - q A(u) p1 = -u B(u) (1-q)/(1-t) on M_mu;

@@ -207,11 +207,11 @@ def test_verify_numeric_mode(capsys):
     code, _, _ = run_cli(capsys, "verify", "theorem", "--max-degree", "3", "--max-k", "2",
                          "--mode", "numeric", "--seed", "7", "--points", "2")
     assert code == 0
-    held = [key for key in symfun._CACHE if key[0] == "A_k" and key[-1] in sampled]
+    held = [key for key in symfun._CACHE if key[0] == "A_table" and key[-1] in sampled]
     assert not held, held[:3]
     code, _, _ = run_cli(capsys, "verify", "theorem", "--max-degree", "3", "--max-k", "2")
     assert code == 0
-    assert ("A_k", 2, 3, SYMBOLIC) in symfun._CACHE
+    assert ("A_table", 3, 3, SYMBOLIC) in symfun._CACHE
 
 
 def test_expression_grammar():

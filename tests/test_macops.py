@@ -7,13 +7,13 @@ import pytest
 from qtsym import families, macops, symfun
 from qtsym.families import macdonald_M
 from qtsym.macops import (
-    A_eigen,
     A_k_apply,
     A_k_eigen,
     A_k_matrix,
     BadMatrixEntry,
     InvalidStep,
     NotOneBoxUp,
+    PoleAtSample,
     apply_AN,
     apply_DN,
     bc_matrix_coeff,
@@ -31,7 +31,7 @@ from qtsym.partitions import (
     partitions_up_to,
     remove_box_positions,
 )
-from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
+from qtsym.ratfun import SYMBOLIC, NumericField, parse_ratfun, random_point
 from qtsym.symfun import (
     NotDivisible,
     NSymPoly,
@@ -87,31 +87,45 @@ def test_DN_two_variables_on_m1():
     assert coeffs[2] == f.scale(rf("q/t"))
 
 
-def _q_shift(xp, subset):
-    # x_i -> q x_i for the 0-based variable indices in subset
-    out = {}
-    for e, c in xp.coeffs.items():
-        d = sum(e[i] for i in subset)
-        out[e] = c * xp.field.q ** d
-    return XPoly(xp.N, out, xp.field)
+def _laurent(counts, field, monomials):
+    # sum n q^a t^-b over the integer counts {(a, b): n}, with
+    # monomials[a, b] = q^a t^-b
+    out = field.zero
+    for key, n in counts.items():
+        if n:
+            out = out + field.from_int(n) * monomials[key]
+    return out
 
 
 def _apply_DN_reference(f):
     # the explicit construction: per subset I, the N!-term alternant
     # sum_sigma sign(sigma) x^(delta o sigma) t^(-sum_{i in I} sigma(i)) times
-    # T_{q,I} f, then the validating quotient by the Vandermonde
+    # T_{q,I} f, then the validating quotient by the Vandermonde.  The
+    # q^a t^-b terms of all subsets of one size are counted as integers per
+    # product exponent and operand coefficient, and each count is lifted once
     N, field = f.N, f.field
-    xp = expand_x(f)
-    sums = [XPoly.zero(N, field) for _ in range(N + 1)]
+    terms = expand_x(f).coeffs
+    top = max((sum(m) for m in terms), default=0)
+    monomials = {(a, b): field.q ** a * field.t ** (-b) for a in range(top + 1)
+                 for b in range(N * (N - 1) // 2 + 1)}
+    out = []
     for size in range(N + 1):
+        counts = {}
         for subset in combinations(range(N), size):
-            h = {}
             for sigma in permutations(range(N)):
-                e = tuple(N - 1 - sigma[i] for i in range(N))
-                c = field.from_int(_perm_sign(sigma)) * field.t ** (-sum(sigma[i] for i in subset))
-                h[e] = h.get(e, field.zero) + c
-            sums[size] = sums[size] + XPoly(N, h, field) * _q_shift(xp, subset)
-    return [divide_by_vandermonde(g if size % 2 == 0 else -g) for size, g in enumerate(sums)]
+                sign = _perm_sign(sigma)
+                b = sum(sigma[i] for i in subset)
+                delta = [N - 1 - s for s in sigma]
+                for m, c in terms.items():
+                    count = counts.setdefault((tuple(x + y for x, y in zip(delta, m)), c), {})
+                    a = sum(m[i] for i in subset)
+                    count[a, b] = count.get((a, b), 0) + sign
+        g = {}
+        for (e, c), count in counts.items():
+            g[e] = g.get(e, field.zero) + c * _laurent(count, field, monomials)
+        g = XPoly(N, g, field)
+        out.append(divide_by_vandermonde(g if size % 2 == 0 else -g))
+    return out
 
 
 def test_DN_matches_explicit_alternant_construction():
@@ -294,14 +308,22 @@ def test_A1_on_constant():
     assert got.is_zero()
 
 
+def _eigenvalue(lam, u0, field=F):
+    # the closed product prod_i (q^(-lam_i) - u0 t^(1-i)) / (u0;1/t)_ell
+    out = field.one
+    for i, part in enumerate(lam, start=1):
+        out = out * (field.q ** (-part) - u0 * field.t ** (1 - i)) / (field.one - u0 * field.t ** (1 - i))
+    return out
+
+
 def test_A_eigen_values():
-    assert A_eigen(P()).at(rf("2")) == one
-    e = A_eigen(P(1))
-    assert e.at(rf("3")) == rf("(1/q-3)/(1-3)")
-    e2 = A_eigen(P(1, 1))
-    u0 = rf("2")
-    expected = rf("(1/q-2)*(1/q-2/t)/((1-2)*(1-2/t))")
-    assert e2.at(u0) == expected
+    for lam, u0, expected in (
+        (P(), rf("2"), one),
+        (P(1), rf("3"), rf("(1/q-3)/(1-3)")),
+        (P(1, 1), rf("2"), rf("(1/q-2)*(1/q-2/t)/((1-2)*(1-2/t))")),
+    ):
+        assert _eigenvalue(lam, u0) == expected, lam
+        assert A_k_eigen(lam).at(u0) == expected, lam
 
 
 def test_A_k_eigen_small():
@@ -314,16 +336,32 @@ def test_A_k_eigen_small():
 
 
 def test_A_k_eigen_reconstructs_eigenvalue():
-    # independent oracle: sum_k e_k / (u;1/t)_k against the closed product
+    # independent oracle: sum_k e_k / (u;1/t)_k, term by term and in the
+    # Horner form of `at`, against the closed product
     for field in (F, random_point(random.Random(20260809))):
         for lam in partitions_up_to(6):
             fam = A_k_eigen(Partition(lam), field)
-            eig = A_eigen(Partition(lam), field)
             for u0 in (field.from_int(7), field.from_int(11)):
                 total = field.zero
                 for k, c in enumerate(fam.entries):
                     total = total + c / pochhammer_u(u0, k, field)
-                assert total == eig.at(u0), (lam, field)
+                expected = _eigenvalue(lam, u0, field)
+                assert total == expected, (lam, field)
+                assert fam.at(u0) == expected, (lam, field)
+
+
+def test_evaluation_at_a_pole_raises():
+    # at t = 2 the factor 1 - u0/t of (u0;1/t)_2 vanishes at u0 = 2
+    field = NumericField(3, 2)
+    b = bc_matrix_coeff("B", P(1, 1), P(1), field)
+    with pytest.raises(PoleAtSample):
+        A_k_eigen(P(1, 1), field).at(field.from_int(2))
+    with pytest.raises(PoleAtSample):
+        b.at(field.from_int(2))
+    u0 = field.from_int(5)
+    assert A_k_eigen(P(1, 1), field).at(u0) == _eigenvalue(P(1, 1), u0, field)
+    pieri = pieri_up_coeff(P(1, 1), P(1), field) * (field.one - field.t)
+    assert b.at(u0) == pieri * (field.q ** -1 - u0) / ((field.one - u0) * (field.t - u0))
 
 
 def test_partial_fractions_refuse_a_surviving_residue():

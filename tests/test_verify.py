@@ -181,19 +181,21 @@ def test_symbol_failure_names_the_entry(monkeypatch):
 
 
 def test_symbol_failure_names_N(monkeypatch):
-    # the finite operator at N = 2 gains m_(1,1) in its 1/(u;1/t)_1 term
+    # the finite operator at N = 3, above the degree, gains m_(1,1) in its
+    # 1/(u;1/t)_1 term (at N = degree the matrix is A_N(u), so N = 2 is not
+    # compared)
     real = macops.apply_AN
 
     def faulty(f):
         out = real(f)
-        if f.N == 2:
-            out.entries[1] = out.entries[1] + NSymPoly(2, {P(1, 1): one})
+        if f.N == 3:
+            out.entries[1] = out.entries[1] + NSymPoly(3, {P(1, 1): one})
         return out
 
     monkeypatch.setattr(macops, "apply_AN", faulty)
     report = check_symbol(2, 3)
     assert not report.passed()
-    assert report.witness == "A_1 against A_N at N=2, degree 2: row m[1,1], column m[2]"
+    assert report.witness == "A_1 against A_N at N=3, degree 2: row m[1,1], column m[2]"
 
 
 def test_corollary_examples():
