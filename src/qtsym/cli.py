@@ -251,15 +251,6 @@ def _verify_config(args):
             if value < 0:
                 raise CliError("--%s must be nonnegative" % name.replace("_", "-"), PRECONDITION_ERROR)
             config[name] = value
-    if args.u_samples is not None:
-        try:
-            config["u_samples"] = tuple(int(x) for x in args.u_samples.split(","))
-        except ValueError:
-            raise CliError("bad --u-samples list", USAGE_ERROR)
-        for u0 in config["u_samples"]:
-            # u = 1 is a pole of 1/(u;1/t)_k, and at u = 0 both sides vanish
-            if u0 in (0, 1):
-                raise CliError("--u-samples %d: samples must avoid 0 and 1" % u0, PRECONDITION_ERROR)
     return config
 
 
@@ -320,7 +311,6 @@ def build_parser():
     p_verify.add_argument("--max-weight", type=int, dest="max_weight")
     p_verify.add_argument("--N", type=int)
     p_verify.add_argument("--degree", type=int)
-    p_verify.add_argument("--u-samples", dest="u_samples", help="comma-separated integers")
     p_verify.add_argument("--mode", default="symbolic", choices=("symbolic", "numeric"))
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--points", type=int, default=3, help="number of numeric sample points")

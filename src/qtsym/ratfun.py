@@ -983,9 +983,9 @@ SYMBOLIC = SymbolicField()
 class NumericField:
     """Scalars are Fractions with q, t bound to fixed rational values.
 
-    Sample points built by `random_point` use prime ratios with all primes
-    distinct and larger than any integer u-sample, so no denominator of the
-    form 1 - u*q^a*t^b can vanish.
+    Sample points built by `random_point` are ratios of four distinct
+    primes, so q^a t^b = 1 only at a = b = 0 and no denominator of the form
+    1 - q^a t^b can vanish.
     """
 
     is_symbolic = False

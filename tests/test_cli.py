@@ -142,27 +142,12 @@ def test_exit_code_out_of_range_verify_options(capsys):
         assert option in err, argv
 
 
-def test_exit_code_u_samples_zero_or_one(capsys):
-    # u = 1 is a pole of 1/(u;1/t)_k; at u = 0 both sides vanish, so it certifies nothing
-    cases = [
-        (("verify", "corollary", "--u-samples", "1"), "1"),
-        (("verify", "corollary", "--u-samples", "0"), "0"),
-        (("verify", "corollary", "--u-samples", "2,1,3"), "1"),
-        (("verify", "finite-symbol", "--u-samples", "1"), "1"),
-        (("verify", "all", "--u-samples", "0,2"), "0"),
-    ]
-    for argv, value in cases:
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (3, ""), argv
-        assert "--u-samples %s:" % value in err, (argv, err)
-
-
-def test_exit_code_bad_u_samples_list(capsys):
-    # an empty list is refused like a malformed one, not read as the default samples
-    for value in ("", "2,,3", "2,x"):
-        code, out, err = run_cli(capsys, "verify", "corollary", "--u-samples", value)
-        assert (code, out) == (2, ""), value
-        assert "bad --u-samples list" in err, (value, err)
+def test_exit_code_u_samples_option_removed(capsys):
+    # the checks compare whole functions of u, so no option picks samples
+    for argv in (("verify", "corollary", "--u-samples", "2,3,5"), ("verify", "finite-symbol", "--u-samples", "2")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert (exc.value.code, capsys.readouterr().out) == (2, ""), argv
 
 
 def test_exit_code_negative_alphabet_size(capsys):

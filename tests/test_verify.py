@@ -12,7 +12,7 @@ from qtsym.partitions import (
     partitions_up_to,
 )
 from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
-from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, divide_by_vandermonde
+from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, convert, divide_by_vandermonde
 from qtsym.verify import (
     CheckReport,
     alternant_F,
@@ -199,9 +199,23 @@ def test_symbol_failure_names_N(monkeypatch):
 
 
 def test_corollary_examples():
-    assert check_corollary(1, P(), (2,)).passed()
-    assert check_corollary(2, P(1), (2, 3)).passed()
-    assert check_corollary(3, P(2), (2,)).passed()
+    assert check_corollary(P()).passed()
+    assert check_corollary(P(1)).passed()
+    assert check_corollary(P(2)).passed()
+
+
+def test_corollary_failure_names_the_term(monkeypatch):
+    # B_1 M_mu scaled by q first breaks the 1/(u;1/t)_1 term of the raising side
+    real = verify.step_series_apply
+
+    def faulty(kind, j, f, degree_bound=None):
+        out = real(kind, j, f, degree_bound)
+        return out.scale(F.q) if (kind, j) == ("B", 1) else out
+
+    monkeypatch.setattr(verify, "step_series_apply", faulty)
+    report = check_corollary(P(1))
+    assert not report.passed()
+    assert report.witness == "raising side, 1/(u;1/t)_1 term: m[1,1] differs"
 
 
 def test_alternant_empty_seed():
@@ -280,8 +294,24 @@ def test_caches_hold_no_zero_coefficients():
 
 
 def test_finite_symbol_small():
-    assert check_finite_symbol(1, 2, (2,)).passed()
-    assert check_finite_symbol(2, 2, (3,)).passed()
+    assert check_finite_symbol(1, 2).passed()
+    assert check_finite_symbol(2, 2).passed()
+
+
+def test_finite_symbol_failure_names_the_component(monkeypatch):
+    # P_(2) gains p_(1,1) on the right side only
+    real = verify.hall_littlewood
+
+    def faulty(lam, kind, degree_bound=None, field=F):
+        out = real(lam, kind, degree_bound, field)
+        if (tuple(lam), kind) == ((2,), "P"):
+            out = out + convert(SymFun.generator("p", P(1, 1), field=field), out.basis)
+        return out
+
+    monkeypatch.setattr(verify, "hall_littlewood", faulty)
+    report = check_finite_symbol(2, 2)
+    assert not report.passed()
+    assert report.witness == "u^0, y-component p(1, 1) differs"
 
 
 def test_decomposition_examples():
@@ -317,7 +347,7 @@ def test_fail_report_carries_witness():
 def test_numeric_mode_agrees_with_symbolic():
     rng = random.Random(20260809)
     config = {"max_degree": 2, "max_k": 2, "degree": 2, "max_weight": 2, "N": 2}
-    names = ("hl-cauchy", "green", "theorem", "commute", "symbol", "proposition")
+    names = ("hl-cauchy", "green", "theorem", "commute", "symbol", "corollary", "proposition", "finite-symbol")
     symbolic = {}
     for name in names:
         symbolic[name] = [r.passed() for r in run_suite(name, config)]
