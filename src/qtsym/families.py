@@ -4,8 +4,10 @@ series with its multiplication coefficients.
 
 Hall-Littlewood functions come from the one-row series by the Pieri rule
 and one triangular solve, finite-N ones by restriction.  Macdonald
-functions are the eigenvectors of D^1, solved triangularly over monomials
-(Macdonald, Symmetric Functions and Hall Polynomials, Ch. III and VI).
+functions are the eigenvectors of D^1, solved triangularly over monomials,
+symbolically as the integral forms J_lam = c_lam M_lam, which lie in
+Z[q,t], by exact division (Macdonald, Symmetric Functions and Hall
+Polynomials, Ch. III, and Ch. VI §8 for J_lam).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .partitions import (
     t_factors,
     union,
 )
-from .ratfun import SYMBOLIC, IntPoly2, RatFun
+from .ratfun import P_ONE, P_ZERO, SYMBOLIC, InexactDivision, IntPoly2, RatFun, poly_divexact
 from . import symfun
 from .symfun import (
     NotDivisible,
@@ -233,49 +235,80 @@ def _laurent_lift(shift, field):
     return lift
 
 
+def _integral_factor(lam):
+    """c_lam = prod over the boxes s of lam of (1 - q^a(s) t^(l(s)+1)) in Z[q,t]."""
+    out = P_ONE
+    lam_c = conjugate(lam)
+    for i, part in enumerate(lam):
+        for j in range(part):
+            out = out * IntPoly2({(0, 0): 1, (part - j - 1, lam_c[j] - i): -1})
+    return out
+
+
+def _integral_d1(column, degree):
+    """t^(degree-1) times the D^1 slice of one `_dn_table` column, {mu: IntPoly2};
+    an entry left outside Z[q,t] raises InexactDivision."""
+    out = {mu: {(a, degree - 1 - i): -n for (a, i), n in entry[1].items()}
+           for mu, entry in column.items() if entry[1]}
+    if any(min(key) < 0 for poly in out.values() for key in poly):
+        raise InexactDivision("t^%d D^1 has an entry outside Z[q,t]" % (degree - 1))
+    return {mu: IntPoly2(poly) for mu, poly in out.items()}
+
+
 def _macdonald_degree(degree, field):
-    """{lam: c} with M_lam = sum_mu c[mu] m_mu, the eigenvectors of D^1.
+    """({lam: J_lam}, {lam: M_lam}) on monomials: M_lam = sum_mu c[mu] m_mu,
+    the eigenvectors of D^1, and J_lam = c_lam M_lam, with c_lam = `_integral_factor`.
 
     D^1 is triangular on monomials with diagonal d, so
     c[mu] (d_lam - d_mu) = sum over mu < nu <= lam of c[nu] D^1_(mu,nu),
-    solved for mu in descending dominance.
+    solved for mu in descending dominance.  Symbolically the solve runs on
+    t^(degree-1) D^1, in Z[q,t], from c[lam] = c_lam: J_lam lies in Z[q,t]
+    (Macdonald, Ch. VI §8), so each division by the gap is exact
+    (`poly_divexact`; InexactDivision otherwise) and takes no gcd, and M_lam
+    is J_lam / c_lam, reduced once per coefficient.  At a sample point the
+    solve runs over the field from c[lam] = 1, so J_lam is M_lam.
     """
+    symbolic = field.is_symbolic
+
     def build():
         d1 = {}
         for nu, column in _dn_table(degree, degree, 1):
-            d1[nu] = _dn_slices(column, field)[1]
+            d1[nu] = _integral_d1(column, degree) if symbolic else _dn_slices(column, field)[1]
             for mu in d1[nu]:
                 if not dominates(nu, mu):
                     raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"
                                              % (tuple(nu), tuple(mu)))
         order = sorted(d1, key=grevlex_key)
-        out = {}
+        integral, monic = {}, {}
         for pos, lam in enumerate(order):
-            vec = {lam: field.one}
+            vec = {lam: _integral_factor(lam) if symbolic else field.one}
             for mu in order[pos + 1:]:
                 if not dominates(lam, mu):
                     continue
                 gap = d1[lam][lam] - d1[mu][mu]
                 if not gap:
-                    raise SingularTransition(
-                        "D^1 eigenvalues of %r and %r coincide" % (tuple(lam), tuple(mu))
-                    )
-                total = field.zero
+                    raise SingularTransition("D^1 eigenvalues of %r and %r coincide" % (tuple(lam), tuple(mu)))
+                total = P_ZERO if symbolic else field.zero
                 for nu, c in vec.items():
                     entry = d1[nu].get(mu)
                     if entry is not None:
                         total = total + c * entry
                 if total:
-                    vec[mu] = total / gap
-            out[lam] = vec
-        return out
+                    vec[mu] = poly_divexact(total, gap) if symbolic else total / gap
+            integral[lam] = {mu: RatFun.from_poly(c) for mu, c in vec.items()} if symbolic else vec
+            monic[lam] = {mu: RatFun(c, vec[lam]) for mu, c in vec.items()} if symbolic else vec
+        return integral, monic
 
     return _memo(("macdonald", degree, field), build)
 
 
+def _macdonald_integral(lam, field=SYMBOLIC):
+    """J_lam = c_lam M_lam on monomials, in Z[q,t]; M_lam itself at a sample point."""
+    return _macdonald_degree(sum(lam), field)[0][Partition(lam)]
+
+
 def macdonald_in_m(lam, field=SYMBOLIC):
-    lam = Partition(lam)
-    return _macdonald_degree(sum(lam), field)[lam]
+    return _macdonald_degree(sum(lam), field)[1][Partition(lam)]
 
 
 def macdonald_M(lam, degree_bound=None, field=SYMBOLIC):

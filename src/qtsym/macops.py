@@ -138,33 +138,34 @@ def _v_product(factors):
     return out
 
 
-def _pochhammer_tails(N):
-    """prod_(j=k)^(N-1) (1 + v t^-j), k = 0..N: the tails of (u;1/t)_N in v = -u."""
-    return [_v_product(((0, 0), (0, j)) for j in range(k, N)) for k in range(N + 1)]
-
-
-def _split_pochhammer(num, tails):
+def _split_pochhammer(num, N):
     """Exact e_0..e_N with num(v) / (u;1/t)_N = sum_k e_k / (u;1/t)_k, v = -u,
-    tails = `_pochhammer_tails(N)`, num a v-list of integer dicts {(a, i): n}
-    (sum n q^a t^-i), used up.  Step k reads e_k off the v^(N-k) coefficient,
-    the top one still left, divided by the top coefficient t^-(k + .. + N-1)
-    of its tail, so no gcd is taken.
+    num a v-list of at most N + 1 integer dicts {(a, i): n} (sum n q^a t^-i).
+    As num = e_N + (1 + v t^(1-N)) (e_(N-1) + ... (e_1 + (1 + v) e_0)),
+    synthetic division by 1 + v t^-j, j = N-1 down to 0, leaves e_(j+1) as
+    the remainder; each quotient coefficient is a difference times t^j.
     """
-    N = len(tails) - 1
+    num = list(num) + [{}] * (N + 1 - len(num))
     out = []
-    for k, tail in enumerate(tails):
-        lead = sum(range(k, N))
-        e = {(a, i - lead): n for (a, i), n in num[N - k].items() if n}
-        out.append(e)
-        for s in range(N - k):
-            target = num[s]
-            for (b, j), m in tail[s].items():
-                for (a, i), n in e.items():
-                    key = (a + b, i + j)
-                    target[key] = target.get(key, 0) - m * n
-    if any(n for poly in num[N + 1:] for n in poly.values()):
+    for j in range(N - 1, -1, -1):
+        quotient, carry = [], {}
+        for poly in reversed(num[1:]):
+            carry = _shifted_difference(poly, carry, j)
+            quotient.append(carry)
+        out.append(_shifted_difference(num[0], carry, 0))
+        num = quotient[::-1]
+    if any(n for poly in num[1:] for n in poly.values()):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
-    return out
+    out.append(_shifted_difference(num[0], {}, 0))
+    return out[::-1]
+
+
+def _shifted_difference(a, b, j):
+    # (a - b) t^j on integer dicts {(a, i): n} of sum n q^a t^-i, zeros dropped
+    out = dict(a)
+    for key, n in b.items():
+        out[key] = out.get(key, 0) - n
+    return {(x, i - j): n for (x, i), n in out.items() if n}
 
 
 def apply_AN(f):
@@ -216,14 +217,13 @@ def _A_matrices(degree, N, field):
     column in dominance raises BadMatrixEntry.
     """
     def build():
-        tails = _pochhammer_tails(N)
         lift = families._laurent_lift(-degree, field)
         out = [{} for _ in range(N + 1)]
         for mu, column in families._dn_table(degree, N, N):
             for matrix in out:
                 matrix[mu] = {}
             for nu, num in column.items():
-                for k, e in enumerate(_split_pochhammer(num, tails)):
+                for k, e in enumerate(_split_pochhammer(num, N)):
                     if not e:
                         continue
                     if not dominates(mu, nu):
@@ -269,7 +269,7 @@ def A_k_eigen(lam, field=SYMBOLIC):
     lam = Partition(lam)
     num = _v_product(((-part, 0), (0, i)) for i, part in enumerate(lam))
     lift = families._laurent_lift(0, field)
-    entries = _split_pochhammer(num, _pochhammer_tails(len(lam)))
+    entries = _split_pochhammer(num, len(lam))
     return UFamily((lift(e) if e else field.zero for e in entries), field)
 
 
@@ -352,11 +352,10 @@ def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
-    # v-degree ell - 1, padded to the ell + 1 entries of (u;1/t)_ell
-    num = _v_product(((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1) + [{}]
+    num = _v_product(((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1)
     scalar = _bc_scalar(kind, lam, mu, field) * field.t ** (1 - i)
     lift = families._laurent_lift(0, field)
-    entries = _split_pochhammer(num, _pochhammer_tails(len(lam)))
+    entries = _split_pochhammer(num, len(lam))
     return UFamily((lift(e) * scalar if e else field.zero for e in entries), field)
 
 

@@ -247,14 +247,16 @@ def check_green(degree, field=SYMBOLIC):
 
 def check_deigen(N, lam, field=SYMBOLIC):
     """D_N(u) M_lam = prod_i (1 - u q^(lam_i) t^(1-i)) M_lam in N variables,
-    power by power of u.  At N = |lam| the u^1 term applies the D^1 slice
-    of the table (`families._dn_table`) that M_lam was solved from, so it
-    cannot fail there; that table's independent oracle is the explicit
-    alternant of the tests (`tests/test_macops.py::_apply_DN_reference`)."""
+    power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0),
+    whose polynomial coefficients meet D_N(u)'s monomial denominators with no
+    gcd.  At N = |lam| the u^1 term applies the D^1 slice of the table
+    (`families._dn_table`) that J_lam was solved from, so it cannot fail
+    there; that table's independent oracle is the explicit alternant of the
+    tests (`tests/test_macops.py::_apply_DN_reference`)."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"N": N, "lam": tuple(lam)}
-    f = restrict(macdonald_M(lam, field=field), N)
+    f = restrict(SymFun("m", dict(families._macdonald_integral(lam, field)), sum(lam), field), N)
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
     # the u-coefficients of prod_i (1 - u q^(lam_i) t^(1-i))
@@ -281,11 +283,13 @@ def _apply_matrix(matrix, coeffs):
 
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
-    """A_k M_lam = e_k(lam) M_lam, with A_k applied as its monomial matrix."""
+    """A_k M_lam = e_k(lam) M_lam, with A_k applied as its monomial matrix,
+    run on J_lam = c_lam M_lam (equivalent, c_lam != 0): its polynomial
+    coefficients meet the Laurent entries of A_k with no bivariate gcd."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
-    m = macdonald_in_m(lam, field)
+    m = families._macdonald_integral(lam, field)
     got = _apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
     # A_k kills M_lam when ell(lam) < k
     e = A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero

@@ -20,6 +20,7 @@ from qtsym.families import (
 from qtsym.partitions import (
     LengthExceedsN,
     Partition,
+    conjugate,
     dominates,
     enumerate_partitions,
     grevlex_key,
@@ -27,7 +28,7 @@ from qtsym.partitions import (
     stats,
     t_factors,
 )
-from qtsym.ratfun import SYMBOLIC, NumericField, parse_ratfun, random_point
+from qtsym.ratfun import SYMBOLIC, InexactDivision, IntPoly2, NumericField, RatFun, parse_ratfun, random_point
 from qtsym.symfun import (
     NSymPoly,
     SingularTransition,
@@ -306,6 +307,111 @@ def test_macdonald_matches_gram_schmidt_at_sample_points():
                 _assert_matches_gram_schmidt(degree, point)
         finally:
             clear_field_caches(point)
+
+
+def _d1_solve_reference(degree, field):
+    # the former library build: the D^1 slice lifted to the field, solved
+    # from c[lam] = 1 with a field division (a reduced RatFun) at every step
+    d1 = {nu: families._dn_slices(column, field)[1] for nu, column in families._dn_table(degree, degree, 1)}
+    order = sorted(d1, key=grevlex_key)
+    out = {}
+    for pos, lam in enumerate(order):
+        vec = {lam: field.one}
+        for mu in order[pos + 1:]:
+            if not dominates(lam, mu):
+                continue
+            total = field.zero
+            for nu, c in vec.items():
+                entry = d1[nu].get(mu)
+                if entry is not None:
+                    total = total + c * entry
+            if total:
+                vec[mu] = total / (d1[lam][lam] - d1[mu][mu])
+        out[lam] = vec
+    return out
+
+
+def _assert_matches_d1_solve(degree, field):
+    expected = _d1_solve_reference(degree, field)
+    got = {lam: macdonald_in_m(lam, field) for lam in enumerate_partitions(degree)}
+    # term for term, in the same order
+    assert [(lam, list(vec.items())) for lam, vec in got.items()] == \
+        [(lam, list(expected[lam].items())) for lam in got], (degree, field)
+
+
+def test_macdonald_matches_field_solve_symbolic():
+    for degree in range(8):
+        _assert_matches_d1_solve(degree, F)
+
+
+def test_macdonald_matches_field_solve_at_sample_points():
+    rng = random.Random(20261019)
+    for _ in range(2):
+        point = random_point(rng)
+        try:
+            for degree in range(8):
+                _assert_matches_d1_solve(degree, point)
+        finally:
+            clear_field_caches(point)
+
+
+def _c_lam(lam):
+    # prod over the boxes of lam of 1 - q^arm t^(leg + 1)
+    lam_c = conjugate(lam)
+    out = one
+    for i, part in enumerate(lam):
+        for j in range(part):
+            out = out * (one - F.q ** (part - j - 1) * F.t ** (lam_c[j] - i))
+    return out
+
+
+def test_integral_form_lies_in_zqt_and_scales_to_macdonald():
+    for degree in range(8):
+        for lam in enumerate_partitions(degree):
+            j, m, c = families._macdonald_integral(lam), macdonald_in_m(lam), _c_lam(lam)
+            assert list(j) == list(m)
+            for mu, coeff in j.items():
+                assert coeff.den == 1 and min(min(e) for e in coeff.num.terms) >= 0, (lam, mu)
+                assert coeff / c == m[mu], (lam, mu)
+            assert j[lam] == c == RatFun.from_poly(families._integral_factor(lam)), lam
+
+
+def test_integral_build_refuses_an_inexact_division(monkeypatch):
+    # without the factor 1 - q t of c_(2), the m_(1,1) coefficient of J_(2)
+    # would be (1+q)(1-t)^2 / (1-q t), outside Z[q,t]
+    def dropped(lam):
+        return IntPoly2({(0, 0): 1, (0, 1): -1}) if tuple(lam) == (2,) else factor(lam)
+
+    factor = families._integral_factor
+    monkeypatch.setattr(families, "_integral_factor", dropped)
+    monkeypatch.delitem(symfun._CACHE, ("macdonald", 2, F), raising=False)
+    with pytest.raises(InexactDivision):
+        macdonald_in_m((2,))
+
+
+def test_integral_build_refuses_a_d1_entry_outside_zqt(monkeypatch):
+    # an entry t^-2 of D^1 at degree 2 keeps a denominator after the scale t^1
+    table = families._dn_table
+
+    def bad_table(degree, N, top):
+        out = dict(table(degree, N, top))
+        out[Partition((2,))][Partition((1, 1))][1][0, 2] = 1
+        return out.items()
+
+    monkeypatch.setattr(families, "_dn_table", bad_table)
+    monkeypatch.delitem(symfun._CACHE, ("macdonald", 2, F), raising=False)
+    with pytest.raises(InexactDivision):
+        macdonald_in_m((2,))
+
+
+def test_macdonald_at_t_one_is_monomial():
+    # c_lam vanishes at t = 1, so a sample point solves from 1, not from c_lam
+    point = NumericField(3, 1)
+    try:
+        for lam in partitions_up_to(4):
+            assert macdonald_in_m(lam, point) == {lam: 1}, lam
+    finally:
+        clear_field_caches(point)
 
 
 def test_d1_table_diagonal_and_support():

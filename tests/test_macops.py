@@ -368,10 +368,38 @@ def test_partial_fractions_refuse_a_surviving_residue():
     # over (u;1/t)_N a numerator of v-degree N splits exactly; one of degree
     # N + 1 leaves a residue
     for N in range(4):
-        tails = macops._pochhammer_tails(N)
-        assert len(macops._split_pochhammer([{(k, k): 1} for k in range(N + 1)], tails)) == N + 1
+        assert len(macops._split_pochhammer([{(k, k): 1} for k in range(N + 1)], N)) == N + 1
         with pytest.raises(NotDivisible, match="degree of num exceeds %d" % N):
-            macops._split_pochhammer([{(k, k): 1} for k in range(N + 2)], tails)
+            macops._split_pochhammer([{(k, k): 1} for k in range(N + 2)], N)
+
+
+def _times_tails(es, N):
+    # sum_k e_k prod_(j=k)^(N-1) (1 + v t^-j) as {(s, a, i): n}: n v^s q^a t^-i
+    total = {}
+    for k, e in enumerate(es):
+        poly = {(0, a, i): n for (a, i), n in e.items()}
+        for j in range(k, N):
+            grown = {}
+            for (s, a, i), n in poly.items():
+                grown[s, a, i] = grown.get((s, a, i), 0) + n
+                grown[s + 1, a, i + j] = grown.get((s + 1, a, i + j), 0) + n
+            poly = grown
+        for key, n in poly.items():
+            total[key] = total.get(key, 0) + n
+    return {key: n for key, n in total.items() if n}
+
+
+def test_partial_fractions_multiply_back_to_every_dn_numerator():
+    # oracle: the e_k times the tails of (u;1/t)_N give back each numerator
+    # of D_N(u), every N <= degree <= 6
+    for d in range(7):
+        for N in range(1, d + 1):
+            for _, column in families._dn_table(d, N, N):
+                for num in column.values():
+                    expect = {(s, a, i): n for s, poly in enumerate(num) for (a, i), n in poly.items()}
+                    es = macops._split_pochhammer(num, N)
+                    assert len(es) == N + 1 and all(all(es_k.values()) for es_k in es)
+                    assert _times_tails(es, N) == expect
 
 
 def test_e1_closed_form():
