@@ -217,10 +217,11 @@ def _laurent_lift(shift, field):
     qd^(a1 - a0) tn^(i1 - i0)."""
     if field.is_symbolic:
         def lift(entry):
-            a0 = min(a for a, _ in entry)
-            i1 = max(i for _, i in entry)
-            num = IntPoly2({(a - a0, i1 - i): n for (a, i), n in entry.items()})
-            return RatFun.from_poly(num) * (field.q ** (a0 + shift) * field.t ** (-i1))
+            # reduced over q^-low t^high: a term lacks q if low < 0, one lacks t if high > 0
+            low = min(0, min(a for a, _ in entry) + shift)
+            high = max(0, max(i for _, i in entry))
+            num = IntPoly2({(a + shift - low, high - i): n for (a, i), n in entry.items()})
+            return RatFun(num, IntPoly2({(-low, high): 1}), _reduced=True)
         return lift
 
     qn, qd = field.q.numerator, field.q.denominator
@@ -264,9 +265,9 @@ def _macdonald_degree(degree, field):
     solved for mu in descending dominance.  Symbolically the solve runs on
     t^(degree-1) D^1, in Z[q,t], from c[lam] = c_lam: J_lam lies in Z[q,t]
     (Macdonald, Ch. VI §8), so each division by the gap is exact
-    (`poly_divexact`; InexactDivision otherwise) and takes no gcd, and M_lam
-    is J_lam / c_lam, reduced once per coefficient.  At a sample point the
-    solve runs over the field from c[lam] = 1, so J_lam is M_lam.
+    (`poly_divexact`; InexactDivision otherwise) and takes no gcd; M_lam =
+    J_lam / c_lam is filled in on first request (`macdonald_in_m`).  At a
+    sample point the solve runs from c[lam] = 1 over the field: J_lam is M_lam.
     """
     symbolic = field.is_symbolic
 
@@ -279,7 +280,7 @@ def _macdonald_degree(degree, field):
                     raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"
                                              % (tuple(nu), tuple(mu)))
         order = sorted(d1, key=grevlex_key)
-        integral, monic = {}, {}
+        integral = {}
         for pos, lam in enumerate(order):
             vec = {lam: _integral_factor(lam) if symbolic else field.one}
             for mu in order[pos + 1:]:
@@ -296,8 +297,7 @@ def _macdonald_degree(degree, field):
                 if total:
                     vec[mu] = poly_divexact(total, gap) if symbolic else total / gap
             integral[lam] = {mu: RatFun.from_poly(c) for mu, c in vec.items()} if symbolic else vec
-            monic[lam] = {mu: RatFun(c, vec[lam]) for mu, c in vec.items()} if symbolic else vec
-        return integral, monic
+        return integral, {} if symbolic else integral
 
     return _memo(("macdonald", degree, field), build)
 
@@ -308,7 +308,11 @@ def _macdonald_integral(lam, field=SYMBOLIC):
 
 
 def macdonald_in_m(lam, field=SYMBOLIC):
-    return _macdonald_degree(sum(lam), field)[1][Partition(lam)]
+    lam = Partition(lam)
+    integral, monic = _macdonald_degree(sum(lam), field)
+    if lam not in monic:
+        monic[lam] = {mu: RatFun(j.num, integral[lam][lam].num) for mu, j in integral[lam].items()}
+    return monic[lam]
 
 
 def macdonald_M(lam, degree_bound=None, field=SYMBOLIC):

@@ -175,7 +175,7 @@ def apply_AN(f):
     entries = [{} for _ in range(N + 1)]
     for mu, c in f.coeffs.items():
         for total, matrix in zip(entries, _A_matrices(sum(mu), N, field)):
-            axpy(total, matrix[mu], c)
+            axpy(total, _lifted(matrix[mu], sum(mu), field), c)
     return UFamily((NSymPoly(N, e, field) for e in entries), field)
 
 
@@ -199,12 +199,12 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
     degree, and takes A_k f to the k-th term of A_N(u) on the restricted f,
     so A_k vanishes for k > degree.  `verify symbol` certifies the matrix
     against the Hall-Littlewood symbol `A_k_apply` and against A_N(u) at
-    the other N.  Every entry is a Laurent polynomial in q and t.
+    the other N.  Its Laurent entries are lifted from the table on each call.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     matrices = _A_matrices(degree, degree, field)
-    return matrices[k] if k < len(matrices) else {mu: {} for mu in matrices[0]}
+    return {mu: _lifted(matrices[k][mu] if k < len(matrices) else {}, degree, field) for mu in matrices[0]}
 
 
 def _A_matrices(degree, N, field):
@@ -212,12 +212,12 @@ def _A_matrices(degree, N, field):
     q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
 
     `_split_pochhammer` takes the partial fractions of the integer entries
-    of `_dn_table`, and each e_k is lifted once.  Columns are taken one at a
-    time, so no integer table outlives its column.  An entry above its
-    column in dominance raises BadMatrixEntry.
+    of `_dn_table`, one column at a time.  Over Q(q,t) an entry is its e_k,
+    {(a, i): n} for sum n q^(a - degree) t^-i (`_lifted`); at a sample point
+    it is lifted here.  An entry above its column raises BadMatrixEntry.
     """
     def build():
-        lift = families._laurent_lift(-degree, field)
+        lift = dict if field.is_symbolic else families._laurent_lift(-degree, field)
         out = [{} for _ in range(N + 1)]
         for mu, column in families._dn_table(degree, N, N):
             for matrix in out:
@@ -234,6 +234,12 @@ def _A_matrices(degree, N, field):
         return out
 
     return _memo(("A_table", degree, N, field), build)
+
+
+def _lifted(column, degree, field):
+    # a column of `_A_matrices` over the field; a sample point's is lifted already
+    lift = families._laurent_lift(-degree, field) if field.is_symbolic else None
+    return {nu: lift(e) for nu, e in column.items()} if lift else column
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):
@@ -266,11 +272,13 @@ def A_k_eigen(lam, field=SYMBOLIC):
     The e_k are the exact partial fractions of the numerator,
     prod_i (q^(-lam_i) + v t^(1-i)) in v = -u.
     """
-    lam = Partition(lam)
-    num = _v_product(((-part, 0), (0, i)) for i, part in enumerate(lam))
     lift = families._laurent_lift(0, field)
-    entries = _split_pochhammer(num, len(lam))
-    return UFamily((lift(e) if e else field.zero for e in entries), field)
+    return UFamily((lift(e) if e else field.zero for e in _eigen_split(Partition(lam))), field)
+
+
+def _eigen_split(lam):
+    # the e_k of `A_k_eigen` as integer dicts {(a, i): n}, sum n q^a t^-i
+    return _split_pochhammer(_v_product(((-part, 0), (0, i)) for i, part in enumerate(lam)), len(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -531,6 +531,52 @@ def poly_divexact(a, b):
     return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
+# ---------------------------------------------------------------------------
+# Kronecker-packed comparison of Laurent polynomials
+
+def first_unequal_row(matrix, vec, scalar):
+    """The first row, in sorted order, where sum_col matrix[col][row] vec[col]
+    and scalar vec[row] differ, or None; entries are Laurent dicts {(a, b): n}
+    of sum n q^a t^b, and a column absent from vec adds nothing.  Each side is
+    one int under the Kronecker ring map q^a t^b -> 2^(B (a - a0 + W (b - b0)))
+    (Harvey, arXiv:0712.4046; `_packing`).  W exceeds the q-span of every
+    product and 2^B each row's sum_col |matrix[col][row]|_1 |vec[col]|_1 +
+    |scalar|_1 |vec[row]|_1, which bounds every coefficient of the row's
+    difference; so the packed difference is 0 only if the row's is: exact."""
+    rows, width, span, left, right = _packing(matrix, vec, scalar)
+    packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
+    scalar = _pack(scalar, width, span, left)
+    return next((row for row in sorted(rows) if scalar * packed.get(row, 0) != sum(
+        _pack(entry, width, span, left) * packed[col] for entry, col in rows[row])), None)
+
+
+def _packing(matrix, vec, scalar):
+    # rows either side reaches, each with its (entry, col) pairs; B; W; offsets
+    rows = {row: [] for row in vec} if scalar else {}
+    for col, entries in matrix.items():
+        for row, entry in entries.items() if col in vec else ():
+            rows.setdefault(row, []).append((entry, col))
+    bound = max((sum(_norm(entry) * _norm(vec[col]) for entry, col in pairs) + _norm(scalar) * _norm(vec.get(row, {}))
+                 for row, pairs in rows.items()), default=0)
+    (a0, a1, b0), (c0, c1, d0) = _box([scalar] + [e for pairs in rows.values() for e, _ in pairs]), _box(vec.values())
+    return rows, bound.bit_length(), a1 - a0 + c1 - c0 + 1, (a0, b0), (c0, d0)
+
+
+def _box(polys):
+    # (least q-exponent, greatest q-exponent, least t-exponent) of the keys
+    keys = [key for poly in polys for key in poly] or [(0, 0)]
+    return min(a for a, _ in keys), max(a for a, _ in keys), min(b for _, b in keys)
+
+
+def _norm(poly):
+    return sum(map(abs, poly.values()))
+
+
+def _pack(poly, width, span, offset):
+    # sum n 2^(B (a - a0 + W (b - b0))) over the items ((a, b), n) of poly
+    return sum(n << width * (a - offset[0] + span * (b - offset[1])) for (a, b), n in poly.items())
+
+
 class RatFun:
     """Reduced fraction of two IntPoly2 values: an element of Q(q,t)."""
 

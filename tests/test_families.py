@@ -45,6 +45,7 @@ from qtsym.symfun import (
     p_multiply,
     restrict,
 )
+from qtsym.verify import check_deigen, check_theorem_basic
 
 F = SYMBOLIC
 one = F.one
@@ -404,6 +405,16 @@ def test_integral_build_refuses_a_d1_entry_outside_zqt(monkeypatch):
         macdonald_in_m((2,))
 
 
+def test_macdonald_is_reduced_on_first_request(monkeypatch):
+    # the symbolic build solves J only; M_lam = J_lam / c_lam is filled in
+    # for the partitions asked for, and theorem and deigen ask for none
+    monkeypatch.delitem(symfun._CACHE, ("macdonald", 4, F), raising=False)
+    assert check_theorem_basic(2, (2, 1, 1)).passed() and check_deigen(3, (2, 2)).passed()
+    assert families._macdonald_degree(4, F)[1] == {}
+    m = macdonald_in_m((2, 2))
+    assert families._macdonald_degree(4, F)[1] == {Partition((2, 2)): m}
+
+
 def test_macdonald_at_t_one_is_monomial():
     # c_lam vanishes at t = 1, so a sample point solves from 1, not from c_lam
     point = NumericField(3, 1)
@@ -571,3 +582,17 @@ def test_dp_pq_relation():
             q_lam = convert(hall_littlewood(lam, "Q"), "p")
             rhs = rhs + q_lam.scale(psi_coeff(lam, mu))
         assert lhs == rhs, mu
+
+
+def test_laurent_lift_is_the_reduced_fraction():
+    # the lift builds its fraction over a monomial as already reduced; RatFun
+    # equality compares numerators and denominators term for term, so a
+    # fraction left unreduced, or signed differently, would differ here
+    rng = random.Random(20261019)
+    for _ in range(200):
+        entry = {(rng.randint(-4, 4), rng.randint(-4, 4)): rng.choice((-3, -1, 1, 2)) for _ in range(rng.randint(1, 4))}
+        shift = rng.randint(-3, 3)
+        expected = F.zero
+        for (a, i), n in entry.items():
+            expected = expected + F.from_int(n) * F.q ** (a + shift) * F.t ** (-i)
+        assert families._laurent_lift(shift, F)(entry) == expected, (entry, shift)

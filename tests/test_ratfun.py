@@ -21,6 +21,7 @@ from qtsym.ratfun import (
     R_Q,
     R_T,
     R_ZERO,
+    first_unequal_row,
     format_ratfun,
     parse_ratfun,
     poly_gcd,
@@ -371,3 +372,91 @@ def test_remainder_sequences_match_sympy():
         f, h = _b_divground(f, _b_content(f)), _b_divground(h, _b_content(h))
         got, f, h = (IntPoly2(_from_rec(u)) for u in (_b_gcd_prs(f, h), f, h))
         assert _same_up_to_sign(sympy, got, sympy.gcd(_to_sympy(sympy, f), _to_sympy(sympy, h))), (f, h)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker-packed row comparison
+
+
+def _packed_sides(matrix, vec, scalar, narrower):
+    # {row: (lhs, rhs)} packed at the layout of `_packing`, with its bit
+    # width B and its slot span W each made narrower by the given amounts
+    from qtsym.ratfun import _pack, _packing
+
+    rows, width, span, left, right = _packing(matrix, vec, scalar)
+    width, span = width - narrower[0], span - narrower[1]
+    packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
+    return {row: (sum(_pack(entry, width, span, left) * packed[col] for entry, col in pairs),
+                  _pack(scalar, width, span, left) * packed.get(row, 0))
+            for row, pairs in rows.items()}
+
+
+@pytest.mark.parametrize("narrower, matrix, vec, scalar, row", [
+    # the constant 2^B' against q: equal at bit width B' = B - 1
+    ((1, 0), {0: {0: {(0, 0): 2 ** 5}}}, {0: {(0, 0): 1}}, {(1, 0): 1}, 0),
+    ((1, 0), {0: {0: {(0, 0): -2 ** 40}}}, {0: {(0, 0): 1}}, {(1, 0): -1}, 0),
+    ((1, 0), {0: {0: {(-2, 1): 2 ** 9}}}, {0: {(3, -1): 1}}, {(-1, 1): 1}, 0),
+    # q^2 against t: the q-span 2 overflows into the next t slot at W - 1
+    ((0, 1), {0: {0: {(2, 0): 1}}}, {0: {(0, 0): 1}}, {(0, 1): 1}, 0),
+    ((0, 1), {0: {0: {(-1, -2): 1}}}, {0: {(4, 4): -3}}, {(-3, -1): 1}, 0),
+    # the first row agrees, the second aliases at W - 1
+    ((0, 1), {0: {0: {(0, 1): 1}, 1: {(2, 0): 1}}}, {0: {(0, 0): 1}, 1: {(0, 0): 1}}, {(0, 1): 1}, 1),
+])
+def test_packing_tells_apart_what_a_narrower_packing_aliases(narrower, matrix, vec, scalar, row):
+    assert first_unequal_row(matrix, vec, scalar) == row
+    lhs, rhs = _packed_sides(matrix, vec, scalar, narrower)[row]
+    assert lhs == rhs
+
+
+def _laurent(rng, terms):
+    out = {}
+    for _ in range(terms):
+        key = (rng.randint(-3, 3), rng.randint(-3, 3))
+        out[key] = out.get(key, 0) + rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 70))
+    return {key: n for key, n in out.items() if n}
+
+
+def _laurent_axpy(target, a, b, sign=1):
+    # target += sign * a * b on Laurent dicts, zeros dropped
+    for (x, y), m in a.items():
+        for (u, v), n in b.items():
+            key = (x + u, y + v)
+            target[key] = target.get(key, 0) + sign * m * n
+            if not target[key]:
+                del target[key]
+
+
+def _first_unequal_row_by_dicts(matrix, vec, scalar):
+    lhs, rhs = {}, {}
+    for col, entries in matrix.items():
+        for row, entry in entries.items():
+            _laurent_axpy(lhs.setdefault(row, {}), entry, vec.get(col, {}))
+    for row, poly in vec.items():
+        _laurent_axpy(rhs.setdefault(row, {}), scalar, poly)
+    return next((row for row in sorted(set(lhs) | set(rhs)) if lhs.get(row, {}) != rhs.get(row, {})), None)
+
+
+def test_packed_rows_match_dict_arithmetic():
+    # scalar on the diagonal plus off-diagonal pairs x v_b at column a and
+    # -x v_a at column b of one row, which cancel; half the cases then get one
+    # entry perturbed.  Exponents and coefficients take both signs, coefficients
+    # reach 70 bits, and entries, vec rows and the scalar may be empty.
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        vec = {col: _laurent(rng, rng.randint(0, 4)) for col in range(n) if rng.random() < 0.85}
+        scalar = _laurent(rng, rng.randint(0, 3))
+        matrix = {col: {col: dict(scalar)} for col in range(n)}
+        for _ in range(rng.randint(0, 3)):
+            a, b, row = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            x = _laurent(rng, 2)
+            _laurent_axpy(matrix[a].setdefault(row, {}), x, vec.get(b, {}))
+            _laurent_axpy(matrix[b].setdefault(row, {}), x, vec.get(a, {}), -1)
+        if rng.random() < 0.5:
+            entry = matrix[rng.randrange(n)].setdefault(rng.randrange(n), {})
+            _laurent_axpy(entry, _laurent(rng, 1), {(0, 0): 1})
+        got = first_unequal_row(matrix, vec, scalar)
+        assert got == _first_unequal_row_by_dicts(matrix, vec, scalar), (matrix, vec, scalar)
+        outcomes.append(got)
+    assert outcomes.count(None) > 100 and len(set(outcomes)) == 5

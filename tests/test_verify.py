@@ -2,17 +2,18 @@ import io
 import json
 import random
 
-from qtsym import macops, symfun, verify
+from qtsym import families, macops, ratfun, symfun, verify
 from qtsym.families import GreenTable, macdonald_M
 from qtsym.partitions import (
     Compare,
     Partition,
     enumerate_partitions,
+    format_partition,
     natural_compare,
     partitions_up_to,
 )
 from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
-from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, convert, divide_by_vandermonde
+from qtsym.symfun import BiSymFun, NSymPoly, SymFun, XPoly, convert, divide_by_vandermonde, restrict
 from qtsym.verify import (
     CheckReport,
     alternant_F,
@@ -105,22 +106,28 @@ def test_theorem_examples():
 
 
 def _perturb(monkeypatch, k, degree, change):
-    # A_k_matrix with change(columns) applied to a copy at one (k, degree)
-    real = macops.A_k_matrix
+    # the integer table of A_k, which the theorem check reads and A_k_matrix
+    # lifts, with change(columns) applied to a copy at one (k, degree)
+    real = macops._A_matrices
 
-    def perturbed(j, d, field=F):
-        matrix = real(j, d, field)
-        if (j, d) != (k, degree):
-            return matrix
-        matrix = {mu: dict(column) for mu, column in matrix.items()}
-        change(matrix)
-        return matrix
+    def perturbed(d, N, field):
+        tables = real(d, N, field)
+        if (d, N, field) != (degree, degree, F):
+            return tables
+        tables = list(tables)
+        tables[k] = {mu: dict(column) for mu, column in tables[k].items()}
+        change(tables[k])
+        return tables
 
-    monkeypatch.setattr(macops, "A_k_matrix", perturbed)
+    monkeypatch.setattr(macops, "_A_matrices", perturbed)
 
 
-def _add_one(matrix, row, column):
-    matrix[column][row] = matrix[column].get(row, F.zero) + one
+def _add_one(matrix, row, column, key=(3, 0), n=1):
+    # + n q^(a - degree) t^-i, key = (a, i), at one entry of an integer table
+    # {(a, i): n} of sum n q^(a - degree) t^-i; the default adds 1 at degree 3
+    entry = dict(matrix[column].get(row, {}))
+    entry[key] = entry.get(key, 0) + n
+    matrix[column][row] = {e: c for e, c in entry.items() if c}
 
 
 def test_theorem_failure_names_the_monomial(monkeypatch):
@@ -129,6 +136,114 @@ def test_theorem_failure_names_the_monomial(monkeypatch):
     assert not report.passed()
     assert report.witness == "eigen-equation fails at m[1,1,1]"
     assert check_theorem_basic(2, P(2, 1)).passed()
+
+
+def _perturb_dn(monkeypatch, degree, N, nu, mu, s, key):
+    # `families._dn_table` with 1 added at key of the u^s entry (row mu,
+    # column nu) at one (degree, N); the Macdonald table is built first,
+    # from the true D^1
+    macdonald_M((1,) * degree)
+    real = families._dn_table
+
+    def perturbed(d, n, top):
+        for col, column in real(d, n, top):
+            if (d, n, col) == (degree, N, nu):
+                column = dict(column)
+                entry = [dict(poly) for poly in column.get(mu, [{}] * (top + 1))]
+                entry[s][key] = entry[s].get(key, 0) + 1
+                column[mu] = entry
+            yield col, column
+
+    monkeypatch.setattr(families, "_dn_table", perturbed)
+
+
+def test_deigen_failure_names_the_u_power(monkeypatch):
+    # q t^-1 more in the u^2 entry at row m[1,1,1] of D_3(u) m_(2,1)
+    _perturb_dn(monkeypatch, 3, 3, P(2, 1), P(1, 1, 1), 2, (1, 1))
+    report = check_deigen(3, P(2, 1))
+    assert not report.passed()
+    assert report.witness == "u-power 2 differs"
+    # J_(1,1,1) has no m_(2,1) term, and N = 4 reads another table
+    assert check_deigen(3, P(1, 1, 1)).passed()
+    assert check_deigen(4, P(2, 1)).passed()
+
+
+def _theorem_by_field(k, lam):
+    # the RatFun route: the lifted matrix A_k_matrix applied to J_lam
+    m = families._macdonald_integral(lam)
+    got = verify._apply_matrix(macops.A_k_matrix(k, sum(lam)), m)
+    e = macops.A_k_eigen(lam).entry(k) if len(lam) >= k else F.zero
+    key = verify._first_difference(got, verify._nonzero({mu: c * e for mu, c in m.items()}))
+    return None if key is None else "eigen-equation fails at m[%s]" % format_partition(key)
+
+
+def _deigen_by_field(N, lam):
+    # the RatFun route: apply_DN on the restricted J_lam
+    f = restrict(SymFun("m", dict(families._macdonald_integral(lam)), sum(lam)), N)
+    coeffs = macops.apply_DN(f)
+    expect = [one]
+    for i, part in enumerate(list(lam) + [0] * (N - len(lam)), start=1):
+        root = F.q ** part * F.t ** (1 - i)
+        expect = [a - root * b for a, b in zip(expect + [F.zero], [F.zero] + expect)]
+    bad = [s for s in range(N + 1) if coeffs[s] != f.scale(expect[s])]
+    return "u-power %d differs" % bad[0] if bad else None
+
+
+def test_packed_theorem_agrees_with_the_field_route():
+    for degree in range(7):
+        for lam in enumerate_partitions(degree):
+            for k in range(1, 5):
+                assert (check_theorem_basic(k, lam).witness, _theorem_by_field(k, lam)) == (None, None), (k, lam)
+
+
+def test_packed_deigen_agrees_with_the_field_route():
+    # every weight <= 5 at every N <= 5, ell(lam) > N included
+    for N in range(1, 6):
+        for lam in partitions_up_to(5):
+            assert (check_deigen(N, lam).witness, _deigen_by_field(N, lam)) == (None, None), (N, lam)
+
+
+def test_packed_and_field_routes_name_the_same_witness(monkeypatch):
+    # one seeded entry of one integer table perturbed by a monomial
+    rng = random.Random(1717)
+    for _ in range(4):
+        degree = rng.randint(2, 5)
+        k = rng.randint(1, degree)
+        lams = enumerate_partitions(degree)
+        row, column = rng.choice(lams), rng.choice(lams)
+        key, n = (rng.randint(degree - 2, degree + 2), rng.randint(-2, 3)), rng.choice((-2, -1, 1))
+        with monkeypatch.context() as patch:
+            _perturb(patch, k, degree, lambda a: _add_one(a, row, column, key, n))
+            witnesses = [(check_theorem_basic(k, lam).witness, _theorem_by_field(k, lam)) for lam in lams]
+        assert all(a == b for a, b in witnesses), witnesses
+        assert any(a for a, _ in witnesses), (degree, k, row, column)
+    for _ in range(4):
+        N, degree = rng.randint(2, 5), rng.randint(2, 5)
+        lams = enumerate_partitions(degree)
+        row, column = (rng.choice([lam for lam in lams if len(lam) <= N]) for _ in range(2))
+        s, key = rng.randint(0, N), (rng.randint(0, degree), rng.randint(0, N - 1))
+        with monkeypatch.context() as patch:
+            _perturb_dn(patch, degree, N, column, row, s, key)
+            witnesses = [(check_deigen(N, lam).witness, _deigen_by_field(N, lam)) for lam in lams]
+        assert all(a == b for a, b in witnesses), witnesses
+        assert any(a for a, _ in witnesses), (N, degree, row, column, s)
+
+
+def test_symbolic_checks_take_no_gcd_and_build_no_ratfun(monkeypatch):
+    # once the tables are built, the packed checks run on integers alone
+    lams = [lam for d in range(5) for lam in enumerate_partitions(d)]
+    for lam in lams:
+        families._macdonald_integral(lam)
+        macops._A_matrices(sum(lam), sum(lam), F)
+
+    def refuse(*args):
+        raise AssertionError("a symbolic check took a gcd or built a RatFun")
+
+    monkeypatch.setattr(ratfun, "poly_gcd", refuse)
+    monkeypatch.setattr(ratfun.RatFun, "__init__", refuse)
+    for lam in lams:
+        assert all(check_theorem_basic(k, lam).passed() for k in range(1, 4)), lam
+        assert all(check_deigen(N, lam).passed() for N in range(1, 5)), lam
 
 
 def test_commute_sweep_passes():
