@@ -265,9 +265,9 @@ def _macdonald_degree(degree, field):
     solved for mu in descending dominance.  Symbolically the solve runs on
     t^(degree-1) D^1, in Z[q,t], from c[lam] = c_lam: J_lam lies in Z[q,t]
     (Macdonald, Ch. VI §8), so each division by the gap is exact
-    (`poly_divexact`; InexactDivision otherwise) and takes no gcd; M_lam =
-    J_lam / c_lam is filled in on first request (`macdonald_in_m`).  At a
-    sample point the solve runs from c[lam] = 1 over the field: J_lam is M_lam.
+    (`poly_divexact`; InexactDivision otherwise), takes no gcd and keeps J_lam
+    as the tables do (`_macdonald_laurent`); M_lam = J_lam / c_lam is filled in
+    on first request.  At a sample point it runs from c[lam] = 1: J_lam is M_lam.
     """
     symbolic = field.is_symbolic
 
@@ -296,22 +296,32 @@ def _macdonald_degree(degree, field):
                         total = total + c * entry
                 if total:
                     vec[mu] = poly_divexact(total, gap) if symbolic else total / gap
-            integral[lam] = {mu: RatFun.from_poly(c) for mu, c in vec.items()} if symbolic else vec
+            integral[lam] = {mu: {(a, -b): n for (a, b), n in c.terms.items()} for mu, c in vec.items()} \
+                if symbolic else vec
         return integral, {} if symbolic else integral
 
     return _memo(("macdonald", degree, field), build)
 
 
 def _macdonald_integral(lam, field=SYMBOLIC):
-    """J_lam = c_lam M_lam on monomials, in Z[q,t]; M_lam itself at a sample point."""
-    return _macdonald_degree(sum(lam), field)[0][Partition(lam)]
+    """J_lam = c_lam M_lam on monomials over the field (M_lam at a sample point)."""
+    if not field.is_symbolic:
+        return _macdonald_degree(sum(lam), field)[0][Partition(lam)]
+    lift = _laurent_lift(0, field)
+    return {mu: lift(c) for mu, c in _macdonald_laurent(lam).items()}
+
+
+def _macdonald_laurent(lam):
+    """J_lam in Z[q,t] as the operator tables hold it: {mu: {(a, i): n}}, sum n q^a t^-i."""
+    return _macdonald_degree(sum(lam), SYMBOLIC)[0][Partition(lam)]
 
 
 def macdonald_in_m(lam, field=SYMBOLIC):
     lam = Partition(lam)
     integral, monic = _macdonald_degree(sum(lam), field)
     if lam not in monic:
-        monic[lam] = {mu: RatFun(j.num, integral[lam][lam].num) for mu, j in integral[lam].items()}
+        j = _macdonald_integral(lam, field)
+        monic[lam] = {mu: c / j[lam] for mu, c in j.items()}
     return monic[lam]
 
 

@@ -281,6 +281,16 @@ def _eigen_split(lam):
     return _split_pochhammer(_v_product(((-part, 0), (0, i)) for i, part in enumerate(lam)), len(lam))
 
 
+def _A_k_equation(k, lam):
+    """A_k J_lam = e_k(lam) J_lam over Q(q,t) as (matrix, vec, scalar) for
+    `ratfun.first_unequal_row`: q^|lam| A_k, J_lam and q^|lam| e_k(lam), all
+    dicts {(a, i): n} of sum n q^a t^-i; A_k is 0 for k > |lam|, e_k for k > ell."""
+    degree = sum(lam)
+    e = _eigen_split(lam)[k] if len(lam) >= k else {}
+    return (_A_matrices(degree, degree, SYMBOLIC)[k] if k <= degree else {}, families._macdonald_laurent(lam),
+            {(a + degree, i): n for (a, i), n in e.items()})
+
+
 # ---------------------------------------------------------------------------
 # Pieri coefficients
 

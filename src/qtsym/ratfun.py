@@ -531,18 +531,13 @@ def poly_divexact(a, b):
     return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
-# ---------------------------------------------------------------------------
-# Kronecker-packed comparison of Laurent polynomials
-
 def first_unequal_row(matrix, vec, scalar):
     """The first row, in sorted order, where sum_col matrix[col][row] vec[col]
-    and scalar vec[row] differ, or None; entries are Laurent dicts {(a, b): n}
-    of sum n q^a t^b, and a column absent from vec adds nothing.  Each side is
-    one int under the Kronecker ring map q^a t^b -> 2^(B (a - a0 + W (b - b0)))
-    (Harvey, arXiv:0712.4046; `_packing`).  W exceeds the q-span of every
-    product and 2^B each row's sum_col |matrix[col][row]|_1 |vec[col]|_1 +
-    |scalar|_1 |vec[row]|_1, which bounds every coefficient of the row's
-    difference; so the packed difference is 0 only if the row's is: exact."""
+    and scalar vec[row] differ, or None, over Laurent dicts {(a, b): n} of
+    sum n q^a t^b.  Each side is one int under the Kronecker ring map
+    q^a t^b -> 2^(B (a - a0 + W (b - b0))) (Harvey, arXiv:0712.4046): W exceeds
+    each product's q-span and 2^B each coefficient of the row's difference
+    (`_packing`), so the packed difference is 0 only if the row's is."""
     rows, width, span, left, right = _packing(matrix, vec, scalar)
     packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
     scalar = _pack(scalar, width, span, left)

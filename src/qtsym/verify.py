@@ -247,33 +247,26 @@ def check_green(degree, field=SYMBOLIC):
 
 def check_deigen(N, lam, field=SYMBOLIC):
     """D_N(u) M_lam = prod_i (1 - u q^(lam_i) t^(1-i)) M_lam in N variables,
-    power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0).
-    Over Q(q,t) each u^s slice of `families._dn_table` meets e_s of the
-    q^(lam_i) t^(1-i) on J_lam in `ratfun.first_unequal_row`: packed ints,
-    injective under its bound, certify the identity exactly, with no gcd; a
-    sample point certifies only itself.  At N = |lam| the u^1 term applies the
-    D^1 slice J_lam was solved from, so it cannot fail there; that table's
-    oracle is the tests' explicit alternant (`_apply_DN_reference`)."""
+    power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0),
+    applied by `macops.apply_DN` over the field: exact in RatFun over Q(q,t),
+    and a sample point certifies only itself.  At N = |lam| the u^1 term applies
+    the D^1 slice of the table (`families._dn_table`) that J_lam was solved
+    from, so it cannot fail there; that table's independent oracle is the
+    explicit alternant of the tests (`tests/test_macops.py::_apply_DN_reference`)."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"N": N, "lam": tuple(lam)}
-    j = families._macdonald_integral(lam, field)
-    # e_s of the roots, and symbolically J_lam, as the tables are: {(a, i): n} for sum n q^a t^-i
-    roots = macops._v_product(((0, 0), (part, i)) for i, part in enumerate(list(lam) + [0] * (N - len(lam))))
-    if field.is_symbolic:
-        j = {mu: {(a, -b): n for (a, b), n in c.num.terms.items()} for mu, c in j.items() if len(mu) <= N}
-        table = dict(families._dn_table(sum(lam), N, N))
-        # both sides of the u^s term carry the sign (-1)^s, dropped here
-        slices = ({nu: {mu: entry[s] for mu, entry in column.items()} for nu, column in table.items()}
-                  for s in range(N + 1))
-        bad = (s for s, matrix in enumerate(slices) if first_unequal_row(matrix, j, roots[s]) is not None)
-    else:
-        f = restrict(SymFun("m", dict(j), sum(lam), field), N)
-        lift = families._laurent_lift(0, field)
-        bad = (s for s, got in enumerate(macops.apply_DN(f)) if got != f.scale(lift(roots[s]) * (-1) ** s))
-    s = next(bad, None)
-    if s is not None:
-        return _finish("deigen", params, t0, False, "u-power %d differs" % s)
+    f = restrict(SymFun("m", dict(families._macdonald_integral(lam, field)), sum(lam), field), N)
+    coeffs = macops.apply_DN(f)
+    padded = list(lam) + [0] * (N - len(lam))
+    # the u-coefficients of prod_i (1 - u q^(lam_i) t^(1-i))
+    expect = [field.one]
+    for i, part in enumerate(padded, start=1):
+        root = field.q ** part * field.t ** (1 - i)
+        expect = [a - root * b for a, b in zip(expect + [field.zero], [field.zero] + expect)]
+    for k in range(N + 1):
+        if coeffs[k] != f.scale(expect[k]):
+            return _finish("deigen", params, t0, False, "u-power %d differs" % k)
     return _finish("deigen", params, t0, True)
 
 
@@ -291,24 +284,18 @@ def _apply_matrix(matrix, coeffs):
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
     """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam = c_lam M_lam
-    (equivalent, c_lam != 0).  Over Q(q,t) the integer table of A_k
-    (`macops._A_matrices`) meets e_k(lam) on J_lam in `ratfun.first_unequal_row`:
-    packed ints, injective under its bound, certify the identity exactly, with
-    no gcd; at a sample point the lifted `A_k_matrix` certifies that point only."""
+    (equivalent, c_lam != 0).  Over Q(q,t) each row is two Kronecker-packed
+    ints (`macops._A_k_equation`, `ratfun.first_unequal_row`), equal exactly
+    when the row holds, with no gcd; a sample point certifies only itself."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
-    m = families._macdonald_integral(lam, field)
-    degree = sum(lam)
     if field.is_symbolic:
-        # A_k kills M_lam when ell(lam) < k; the table is q^degree A_k, with
-        # entries {(a, i): n} for sum n q^a t^-i, and J_lam is written so too
-        e = macops._eigen_split(lam)[k] if len(lam) >= k else {}
-        key = first_unequal_row(macops._A_matrices(degree, degree, field)[k] if k <= degree else {},
-                                {mu: {(a, -b): n for (a, b), n in c.num.terms.items()} for mu, c in m.items()},
-                                {(a + degree, i): n for (a, i), n in e.items()})
+        key = first_unequal_row(*macops._A_k_equation(k, lam))
     else:
-        got = _apply_matrix(macops.A_k_matrix(k, degree, field), m)
+        m = families._macdonald_integral(lam, field)
+        got = _apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
+        # A_k kills M_lam when ell(lam) < k
         e = A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero
         key = _first_difference(got, _nonzero({mu: c * e for mu, c in m.items()}))
     if key is None:
