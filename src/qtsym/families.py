@@ -145,95 +145,134 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 # ---------------------------------------------------------------------------
 # Macdonald functions as eigenvectors of D^1
 
-def _dn_table(degree, N, top):
-    """D_N(u) on the monomials of one degree in N variables, through u^top,
-    as integers: yields (nu, {mu: [L_0, .., L_top]}) over nu and mu of the
-    degree with at most N parts, the u^s coefficient of the m_mu coefficient
-    of D_N(u) m_nu being (-1)^s sum n q^a t^-i over the items ((a, i), n) of
-    L_s.  top = 1 gives D^1; top = N gives all of D_N(u), one column at a time.
+def _dn_table(degree, N, top, field=SYMBOLIC):
+    """D_N(u) on the monomials of one degree in N variables, through u^top:
+    yields (nu, {mu: [L_0, .., L_top]}) over nu and mu of the degree with at
+    most N parts, (-1)^s L_s being the u^s coefficient of the m_mu
+    coefficient of D_N(u) m_nu.  top = 1 gives D^1; top = N gives all of
+    D_N(u), one column at a time.
 
-    On x^e, e a permutation of nu, D_N(u) reads prod_i (1 - u q^(e_i) t^-i)
-    times A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each
-    s_rho to monomials.
+    On x^e, e a permutation of nu, D_N(u) reads prod_i (1 + v q^(e_i) t^-i),
+    v = -u, times A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows
+    take each s_rho to monomials.  Over Q(q,t) L_s is an integer dict
+    {(a, i): n} of sum n q^a t^-i.  At a sample point q = qn/qd, t = tn/td
+    it is an int over `_dn_denominator`: the factor is
+    (qd^(e_i) tn^i + v qn^(e_i) td^i) / (qd^(e_i) tn^i), so every
+    permutation's product has the denominator qd^degree tn^(N(N-1)/2), and
+    the products and Kostka sums are int multiply-adds.
     """
     kostka = kostka_rows(degree)
-    # the u-powers factor i can reach, from the top down
-    powers = [range(min(i + 1, top), 0, -1) for i in range(N)]
+    if field.is_symbolic:
+        add_product, add_scaled, clean = _laurent_products(N, top), _laurent_axpy, _laurent_clean
+    else:
+        add_product, add_scaled, clean = _point_products(N, top, field), _point_axpy, list
     for nu in enumerate_partitions(degree, max_length=N):
         by_schur = {}
         for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
             index = _alternant_index(tuple(x + N - 1 - i for i, x in enumerate(e)))
-            if index is None:
-                continue
-            sign, rho = index
-            # sign e_s(q^(e_i) t^-i), s <= top, added into the sums of rho one
-            # factor 1 + v q^(e_i) t^-i at a time (v = -u), from the top power down
-            sums = by_schur.get(rho)
-            if sums is None:
-                sums = by_schur[rho] = [{} for _ in range(top + 1)]
-            sums[0][0, 0] = sums[0].get((0, 0), 0) + sign
-            prod = [{(0, 0): sign}] + [{} for _ in range(top - 1)]
-            for i, a in enumerate(e):
-                for s in powers[i]:
-                    target = prod[s] if s < top else sums[s]
-                    for (x, y), n in prod[s - 1].items():
-                        key = (x + a, y + i)
-                        target[key] = target.get(key, 0) + n
-            for target, poly in zip(sums[1:top], prod[1:]):
-                for key, n in poly.items():
-                    target[key] = target.get(key, 0) + n
+            if index is not None:
+                sign, rho = index
+                by_schur[rho] = add_product(by_schur.get(rho), sign, e)
         column = {}
         for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
-                if len(mu) > N:
-                    continue
-                entry = column.get(mu)
-                if entry is None:
-                    entry = column[mu] = [{} for _ in range(top + 1)]
-                for target, poly in zip(entry, sums):
-                    for key, n in poly.items():
-                        target[key] = target.get(key, 0) + k * n
-        column = {mu: [{key: n for key, n in poly.items() if n} for poly in entry]
-                  for mu, entry in column.items()}
+                if len(mu) <= N:
+                    column[mu] = add_scaled(column.get(mu), k, sums)
+        column = {mu: clean(entry) for mu, entry in column.items()}
         yield nu, {mu: entry for mu, entry in column.items() if any(entry)}
 
 
-def _dn_slices(column, field):
-    """One column of `_dn_table` over the field: its u^s slices {mu: c}."""
-    lift = _laurent_lift(0, field)
-    out = [{} for _ in next(iter(column.values()))]
-    for mu, entry in column.items():
-        for s, poly in enumerate(entry):
-            if poly:
-                out[s][mu] = lift({key: -n for key, n in poly.items()} if s % 2 else poly)
-    return out
+def _laurent_products(N, top):
+    # the v-list of sign prod_i (1 + v q^(e_i) t^-i) through v^top, added
+    # into the integer dicts of one Schur index a factor at a time
+    powers = [range(min(i + 1, top), 0, -1) for i in range(N)]  # the v-powers factor i reaches, top down
+
+    def add(sums, sign, e):
+        if sums is None:
+            sums = [{} for _ in range(top + 1)]
+        sums[0][0, 0] = sums[0].get((0, 0), 0) + sign
+        prod = [{(0, 0): sign}] + [{} for _ in range(top - 1)]
+        for i, a in enumerate(e):
+            for s in powers[i]:
+                target = prod[s] if s < top else sums[s]
+                for (x, y), n in prod[s - 1].items():
+                    key = (x + a, y + i)
+                    target[key] = target.get(key, 0) + n
+        for target, poly in zip(sums[1:top], prod[1:]):
+            for key, n in poly.items():
+                target[key] = target.get(key, 0) + n
+        return sums
+    return add
 
 
-def _laurent_lift(shift, field):
-    """Map a nonempty integer dict {(a, i): n} to sum n q^(a + shift) t^-i
-    in the field, as q^(a0 + shift) t^-i1 times a polynomial in q and 1/t
-    read off in one pass: symbolically a reduced fraction over a monomial,
-    with no gcd; at a sample point q = qn/qd, t = tn/td one integer over
-    qd^(a1 - a0) tn^(i1 - i0)."""
-    if field.is_symbolic:
-        def lift(entry):
-            # reduced over q^-low t^high: a term lacks q if low < 0, one lacks t if high > 0
-            low = min(0, min(a for a, _ in entry) + shift)
-            high = max(0, max(i for _, i in entry))
-            num = IntPoly2({(a + shift - low, high - i): n for (a, i), n in entry.items()})
-            return RatFun(num, IntPoly2({(-low, high): 1}), _reduced=True)
-        return lift
+def _laurent_axpy(entry, k, sums):
+    if entry is None:
+        entry = [{} for _ in sums]
+    for target, poly in zip(entry, sums):
+        for key, n in poly.items():
+            target[key] = target.get(key, 0) + k * n
+    return entry
 
+
+def _laurent_clean(entry):
+    return [{key: n for key, n in poly.items() if n} for poly in entry]
+
+
+def _point_products(N, top, field):
+    # the same v-list at a sample point: ints over `_dn_denominator`, each
+    # factor 1 + v q^a t^-i taken as qd^a tn^i + v qn^a td^i
     qn, qd = field.q.numerator, field.q.denominator
     tn, td = field.t.numerator, field.t.denominator
 
-    def lift(entry):
-        a0, a1 = min(a for a, _ in entry), max(a for a, _ in entry)
-        i0, i1 = min(i for _, i in entry), max(i for _, i in entry)
-        total = sum(n * qn ** (a - a0) * qd ** (a1 - a) * td ** (i - i0) * tn ** (i1 - i)
-                    for (a, i), n in entry.items())
-        return Fraction(total, qd ** (a1 - a0) * tn ** (i1 - i0)) * (field.q ** (a0 + shift) * field.t ** (-i0))
-    return lift
+    def add(sums, sign, e):
+        prod = [sign] + [0] * top
+        for i, a in enumerate(e):
+            c, d = qd ** a * tn ** i, qn ** a * td ** i
+            for s in range(min(i + 1, top), 0, -1):
+                prod[s] = prod[s] * c + prod[s - 1] * d
+            prod[0] *= c
+        return prod if sums is None else [x + n for x, n in zip(sums, prod)]
+    return add
+
+
+def _point_axpy(entry, k, sums):
+    return [k * n for n in sums] if entry is None else [x + k * n for x, n in zip(entry, sums)]
+
+
+def _dn_denominator(degree, N, field):
+    """The one denominator qd^degree tn^(N(N-1)/2) of `_dn_table` at a sample point."""
+    return field.q.denominator ** degree * field.t.numerator ** (N * (N - 1) // 2)
+
+
+def _dn_slices(column, degree, N, field):
+    """One column of `_dn_table(degree, N, top, field)` over the field: its u^s slices {mu: c}."""
+    if field.is_symbolic:
+        def value(s, c):
+            return _laurent_lift({key: -n for key, n in c.items()} if s % 2 else c)
+    else:
+        den = _dn_denominator(degree, N, field)
+
+        def value(s, c):
+            return Fraction(-c if s % 2 else c, den)
+    out = [{} for _ in next(iter(column.values()))]
+    for mu, entry in column.items():
+        for s, c in enumerate(entry):
+            if c:
+                out[s][mu] = value(s, c)
+    return out
+
+
+def _laurent_lift(entry, shift=0):
+    """The integer dict {(a, i): n} as sum n q^(a + shift) t^-i in Q(q,t): a
+    reduced fraction over a monomial, read off in one pass with no gcd."""
+    entry = {key: n for key, n in entry.items() if n}
+    if not entry:
+        return SYMBOLIC.zero
+    # reduced over q^-low t^high: a term lacks q if low < 0, one lacks t if high > 0
+    low = min(0, min(a for a, _ in entry) + shift)
+    high = max(0, max(i for _, i in entry))
+    num = IntPoly2({(a + shift - low, high - i): n for (a, i), n in entry.items()})
+    return RatFun(num, IntPoly2({(-low, high): 1}), _reduced=True)
 
 
 def _integral_factor(lam):
@@ -273,8 +312,8 @@ def _macdonald_degree(degree, field):
 
     def build():
         d1 = {}
-        for nu, column in _dn_table(degree, degree, 1):
-            d1[nu] = _integral_d1(column, degree) if symbolic else _dn_slices(column, field)[1]
+        for nu, column in _dn_table(degree, degree, 1, field):
+            d1[nu] = _integral_d1(column, degree) if symbolic else _dn_slices(column, degree, degree, field)[1]
             for mu in d1[nu]:
                 if not dominates(nu, mu):
                     raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"
@@ -307,8 +346,7 @@ def _macdonald_integral(lam, field=SYMBOLIC):
     """J_lam = c_lam M_lam on monomials over the field (M_lam at a sample point)."""
     if not field.is_symbolic:
         return _macdonald_degree(sum(lam), field)[0][Partition(lam)]
-    lift = _laurent_lift(0, field)
-    return {mu: lift(c) for mu, c in _macdonald_laurent(lam).items()}
+    return {mu: _laurent_lift(c) for mu, c in _macdonald_laurent(lam).items()}
 
 
 def _macdonald_laurent(lam):

@@ -15,6 +15,7 @@ integer partial fractions (`_split_pochhammer`) and evaluated by `at`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .partitions import (
     Partition,
@@ -117,16 +118,26 @@ def apply_DN(f):
     field = f.field
     sums = [{} for _ in range(N + 1)]
     for degree in {sum(nu) for nu in f.coeffs}:
-        for nu, column in families._dn_table(degree, N, N):
+        for nu, column in families._dn_table(degree, N, N, field):
             if nu in f.coeffs:
-                for total, piece in zip(sums, families._dn_slices(column, field)):
+                for total, piece in zip(sums, families._dn_slices(column, degree, N, field)):
                     axpy(total, piece, f.coeffs[nu])
     return [NSymPoly(N, total, field) for total in sums]
 
 
-def _v_product(factors):
+def _v_product(factors, field=SYMBOLIC):
     """prod (c + v d) over the pairs (c, d) of factors, c and d keys (a, i)
-    of monomials q^a t^-i, as a v-list of integer dicts {(a, i): n}."""
+    of monomials q^a t^-i, as (v-list, den) for `_split_pochhammer`: over
+    Q(q,t) integer dicts {(a, i): n} over 1, at a sample point ints over
+    the product of the factors' denominators."""
+    if not field.is_symbolic:
+        out, den = [1], 1
+        for pair in factors:
+            c, d = (field.q ** a * field.t ** -i for a, i in pair)
+            cn, dn = c.numerator * d.denominator, d.numerator * c.denominator
+            out = [cn * x + dn * y for x, y in zip(out + [0], [0] + out)]
+            den *= c.denominator * d.denominator
+        return out, den
     out = [{(0, 0): 1}]
     for (a0, i0), (a1, i1) in factors:
         new = [{} for _ in range(len(out) + 1)]
@@ -135,16 +146,27 @@ def _v_product(factors):
                 new[s][a + a0, i + i0] = new[s].get((a + a0, i + i0), 0) + n
                 new[s + 1][a + a1, i + i1] = new[s + 1].get((a + a1, i + i1), 0) + n
         out = new
-    return out
+    return out, 1
 
 
-def _split_pochhammer(num, N):
+def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
     """Exact e_0..e_N with num(v) / (u;1/t)_N = sum_k e_k / (u;1/t)_k, v = -u,
-    num a v-list of at most N + 1 integer dicts {(a, i): n} (sum n q^a t^-i).
-    As num = e_N + (1 + v t^(1-N)) (e_(N-1) + ... (e_1 + (1 + v) e_0)),
-    synthetic division by 1 + v t^-j, j = N-1 down to 0, leaves e_(j+1) as
-    the remainder; each quotient coefficient is a difference times t^j.
+    num a v-list of at most N + 1 values over den.
+
+    Over Q(q,t) the values and the e_k are integer dicts {(a, i): n}
+    (sum n q^a t^-i) and den is 1.  As num = e_N + (1 + v t^(1-N))
+    (e_(N-1) + ... (e_1 + (1 + v) e_0)), synthetic division by 1 + v t^-j,
+    j = N-1 down to 0, leaves e_(j+1) as the remainder; each quotient
+    coefficient is a difference times t^j.
+
+    At a sample point t = tn/td the values are ints and the e_k Fractions.
+    With v = w / td^(N-1), 1 + v t^-j = (w + b_j) / b_j, b_j = tn^j td^(N-1-j),
+    so td^(N(N-1)) den num is an integer polynomial in w, each division is
+    by the monic w + b_j, and e_k is its int remainder times
+    b_k .. b_(N-1), over td^(N(N-1)) den.
     """
+    if not field.is_symbolic:
+        return _split_at_point(num, N, field.t, den)
     num = list(num) + [{}] * (N + 1 - len(num))
     out = []
     for j in range(N - 1, -1, -1):
@@ -157,6 +179,27 @@ def _split_pochhammer(num, N):
     if any(n for poly in num[1:] for n in poly.values()):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
     out.append(_shifted_difference(num[0], {}, 0))
+    return out[::-1]
+
+
+def _split_at_point(num, N, t, den):
+    # `_split_pochhammer` at t: every division and product in ints, one Fraction per e_k
+    if any(num[N + 1:]):
+        raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
+    tn, td = t.numerator, t.denominator
+    scale = den * td ** (N * (N - 1))
+    w = [n * td ** ((N - 1) * (N - s)) for s, n in enumerate(num[:N + 1])] + [0] * (N + 1 - len(num))
+    out, b_prod = [], 1
+    for j in range(N - 1, -1, -1):
+        b = tn ** j * td ** (N - 1 - j)
+        quotient, carry = [], 0
+        for n in reversed(w[1:]):
+            carry = n - b * carry
+            quotient.append(carry)
+        out.append(Fraction((w[0] - b * carry) * b_prod, scale))
+        b_prod *= b
+        w = quotient[::-1]
+    out.append(Fraction(w[0] * b_prod, scale))
     return out[::-1]
 
 
@@ -211,35 +254,39 @@ def _A_matrices(degree, N, field):
     """[A_0, .., A_N] on the m_mu of the degree with ell(mu) <= N, from
     q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
 
-    `_split_pochhammer` takes the partial fractions of the integer entries
-    of `_dn_table`, one column at a time.  Over Q(q,t) an entry is its e_k,
-    {(a, i): n} for sum n q^(a - degree) t^-i (`_lifted`); at a sample point
-    it is lifted here.  An entry above its column raises BadMatrixEntry.
+    `_split_pochhammer` takes the partial fractions of the entries of
+    `_dn_table` over the field, one column at a time.  Over Q(q,t) an entry
+    is its e_k, {(a, i): n} for sum n q^(a - degree) t^-i (`_lifted`); at a
+    sample point it is a Fraction, computed in ints from the point's table
+    over q^degree times the table's denominator, qn^degree tn^(N(N-1)/2).
+    An entry above its column raises BadMatrixEntry; at a point only an
+    entry whose value does not vanish is seen.
     """
     def build():
-        lift = dict if field.is_symbolic else families._laurent_lift(-degree, field)
+        den = 1 if field.is_symbolic else (families._dn_denominator(degree, N, field) * field.q ** degree).numerator
         out = [{} for _ in range(N + 1)]
-        for mu, column in families._dn_table(degree, N, N):
+        for mu, column in families._dn_table(degree, N, N, field):
             for matrix in out:
                 matrix[mu] = {}
             for nu, num in column.items():
-                for k, e in enumerate(_split_pochhammer(num, N)):
+                for k, e in enumerate(_split_pochhammer(num, N, field, den)):
                     if not e:
                         continue
                     if not dominates(mu, nu):
                         raise BadMatrixEntry(
                             "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
                             "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
-                    out[k][mu][nu] = lift(e)
+                    out[k][mu][nu] = e
         return out
 
     return _memo(("A_table", degree, N, field), build)
 
 
 def _lifted(column, degree, field):
-    # a column of `_A_matrices` over the field; a sample point's is lifted already
-    lift = families._laurent_lift(-degree, field) if field.is_symbolic else None
-    return {nu: lift(e) for nu, e in column.items()} if lift else column
+    # a column of `_A_matrices` over the field; a sample point's holds Fractions already
+    if not field.is_symbolic:
+        return column
+    return {nu: families._laurent_lift(e, -degree) for nu, e in column.items()}
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):
@@ -272,13 +319,18 @@ def A_k_eigen(lam, field=SYMBOLIC):
     The e_k are the exact partial fractions of the numerator,
     prod_i (q^(-lam_i) + v t^(1-i)) in v = -u.
     """
-    lift = families._laurent_lift(0, field)
-    return UFamily((lift(e) if e else field.zero for e in _eigen_split(Partition(lam))), field)
+    return UFamily(_in_field(_eigen_split(Partition(lam), field), field), field)
 
 
-def _eigen_split(lam):
-    # the e_k of `A_k_eigen` as integer dicts {(a, i): n}, sum n q^a t^-i
-    return _split_pochhammer(_v_product(((-part, 0), (0, i)) for i, part in enumerate(lam)), len(lam))
+def _eigen_split(lam, field=SYMBOLIC):
+    # the e_k of `A_k_eigen`: integer dicts {(a, i): n}, sum n q^a t^-i, or Fractions at a point
+    num, den = _v_product((((-part, 0), (0, i)) for i, part in enumerate(lam)), field)
+    return _split_pochhammer(num, len(lam), field, den)
+
+
+def _in_field(values, field):
+    # e_k of `_split_pochhammer` as field elements: integer dicts lifted, Fractions as they are
+    return [families._laurent_lift(e) for e in values] if field.is_symbolic else values
 
 
 def _A_k_equation(k, lam):
@@ -370,11 +422,10 @@ def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
-    num = _v_product(((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1)
+    num, den = _v_product((((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1), field)
     scalar = _bc_scalar(kind, lam, mu, field) * field.t ** (1 - i)
-    lift = families._laurent_lift(0, field)
-    entries = _split_pochhammer(num, len(lam))
-    return UFamily((lift(e) * scalar if e else field.zero for e in entries), field)
+    entries = _in_field(_split_pochhammer(num, len(lam), field, den), field)
+    return UFamily((e * scalar for e in entries), field)
 
 
 def _bc_scalar(kind, lam, mu, field):

@@ -286,7 +286,9 @@ def check_theorem_basic(k, lam, field=SYMBOLIC):
     """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam = c_lam M_lam
     (equivalent, c_lam != 0).  Over Q(q,t) each row is two Kronecker-packed
     ints (`macops._A_k_equation`, `ratfun.first_unequal_row`), equal exactly
-    when the row holds, with no gcd; a sample point certifies only itself."""
+    when the row holds, with no gcd.  At a sample point the point's A_k table
+    is applied to M_lam and e_k(lam) alone is read (`macops._eigen_split`);
+    a sample point certifies only itself."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
@@ -296,7 +298,7 @@ def check_theorem_basic(k, lam, field=SYMBOLIC):
         m = families._macdonald_integral(lam, field)
         got = _apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
         # A_k kills M_lam when ell(lam) < k
-        e = A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero
+        e = macops._eigen_split(lam, field)[k] if len(lam) >= k else field.zero
         key = _first_difference(got, _nonzero({mu: c * e for mu, c in m.items()}))
     if key is None:
         return _finish("theorem_basic", params, t0, True)

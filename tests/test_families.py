@@ -313,7 +313,8 @@ def test_macdonald_matches_gram_schmidt_at_sample_points():
 def _d1_solve_reference(degree, field):
     # the former library build: the D^1 slice lifted to the field, solved
     # from c[lam] = 1 with a field division (a reduced RatFun) at every step
-    d1 = {nu: families._dn_slices(column, field)[1] for nu, column in families._dn_table(degree, degree, 1)}
+    d1 = {nu: families._dn_slices(column, degree, degree, field)[1]
+          for nu, column in families._dn_table(degree, degree, 1, field)}
     order = sorted(d1, key=grevlex_key)
     out = {}
     for pos, lam in enumerate(order):
@@ -394,8 +395,8 @@ def test_integral_build_refuses_a_d1_entry_outside_zqt(monkeypatch):
     # an entry t^-2 of D^1 at degree 2 keeps a denominator after the scale t^1
     table = families._dn_table
 
-    def bad_table(degree, N, top):
-        out = dict(table(degree, N, top))
+    def bad_table(degree, N, top, field=F):
+        out = dict(table(degree, N, top, field))
         out[Partition((2,))][Partition((1, 1))][1][0, 2] = 1
         return out.items()
 
@@ -439,12 +440,13 @@ def test_d1_table_diagonal_and_support():
 
 
 def test_macdonald_build_refuses_column_outside_order_ideal(monkeypatch):
-    # a D^1 column reaching above its nu must raise, not feed the solve
+    # a D^1 column reaching above its nu must raise, not feed the solve; the
+    # point's table holds ints over its denominator
     table = families._dn_table
 
-    def bad_table(degree, N, top):
-        out = dict(table(degree, N, top))
-        out[Partition((2, 1))][Partition((3,))] = [{}, {(0, 0): 1}]
+    def bad_table(degree, N, top, field):
+        out = dict(table(degree, N, top, field))
+        out[Partition((2, 1))][Partition((3,))] = [0, 1]
         return out.items()
 
     monkeypatch.setattr(families, "_dn_table", bad_table)
@@ -595,4 +597,4 @@ def test_laurent_lift_is_the_reduced_fraction():
         expected = F.zero
         for (a, i), n in entry.items():
             expected = expected + F.from_int(n) * F.q ** (a + shift) * F.t ** (-i)
-        assert families._laurent_lift(shift, F)(entry) == expected, (entry, shift)
+        assert families._laurent_lift(entry, shift) == expected, (entry, shift)

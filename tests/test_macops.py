@@ -144,16 +144,17 @@ def test_DN_matches_explicit_alternant_construction():
 
 
 def test_dn_table_matches_explicit_alternant():
-    # every power of u in the lifted integer table against the explicit
-    # alternant, for every N from 0 to degree + 1: a column for each nu with
-    # ell(nu) <= N, none for the others, whose restriction vanishes
+    # every power of u in the table over the field (integer dicts lifted to
+    # Q(q,t), or built at the point) against the explicit alternant, for
+    # every N from 0 to degree + 1: a column for each nu with ell(nu) <= N,
+    # none for the others, whose restriction vanishes
     for field in (F, random_point(random.Random(20261018))):
         for d in range(5):
             for N in range(d + 2):
-                columns = dict(families._dn_table(d, N, N))
+                columns = dict(families._dn_table(d, N, N, field))
                 assert list(columns) == [nu for nu in enumerate_partitions(d) if len(nu) <= N], (d, N)
                 for nu, column in columns.items():
-                    got = [NSymPoly(N, c, field) for c in families._dn_slices(column, field)]
+                    got = [NSymPoly(N, c, field) for c in families._dn_slices(column, d, N, field)]
                     m_nu = SymFun.generator("m", nu, field=field)
                     assert got == _apply_DN_reference(restrict(m_nu, N)), (d, N, nu)
 
@@ -163,8 +164,8 @@ def test_d1_columns_match_explicit_alternant():
     # build solves against, at N = degree
     for field in (F, random_point(random.Random(20261018))):
         for d in range(1, 5):
-            for nu, column in families._dn_table(d, d, 1):
-                got = NSymPoly(d, families._dn_slices(column, field)[1], field)
+            for nu, column in families._dn_table(d, d, 1, field):
+                got = NSymPoly(d, families._dn_slices(column, d, d, field)[1], field)
                 m_nu = SymFun.generator("m", nu, field=field)
                 assert got == _apply_DN_reference(restrict(m_nu, d))[1], (d, nu)
 
@@ -402,6 +403,45 @@ def test_partial_fractions_multiply_back_to_every_dn_numerator():
                     assert _times_tails(es, N) == expect
 
 
+def _evaluated(value, point):
+    return value.evaluate(point.q, point.t)
+
+
+def test_point_tables_equal_the_symbolic_tables_evaluated():
+    # the tables built in ints at a sample point against the Q(q,t) tables
+    # evaluated there by RatFun.evaluate, entry for entry: D_N(u) and A_N(u)
+    # for every N <= degree + 1 <= 7 (and degree 7 at N = 7 at the first
+    # point), the eigenvalue families and the step matrix elements
+    rng = random.Random(20261020)
+    for trial in range(3):
+        point = random_point(rng)
+        try:
+            cases = [(d, N) for d in range(7) for N in range(d + 2)] + ([(7, 7)] if trial == 0 else [])
+            for d, N in cases:
+                symbolic = dict(families._dn_table(d, N, N))
+                at_point = dict(families._dn_table(d, N, N, point))
+                assert list(at_point) == list(symbolic), (d, N)
+                for nu, column in at_point.items():
+                    expected = [{mu: _evaluated(c, point) for mu, c in piece.items()}
+                                for piece in families._dn_slices(symbolic[nu], d, N, F)]
+                    assert families._dn_slices(column, d, N, point) == expected, (d, N, nu)
+                tables = macops._A_matrices(d, N, point)
+                for k, matrix in enumerate(macops._A_matrices(d, N, F)):
+                    expected = {mu: {nu: _evaluated(c, point) for nu, c in macops._lifted(column, d, F).items()}
+                                for mu, column in matrix.items()}
+                    assert tables[k] == expected, (d, N, k)
+            for lam in partitions_up_to(7):
+                expected = [_evaluated(e, point) for e in A_k_eigen(lam).entries]
+                assert A_k_eigen(lam, point).entries == expected, lam
+            for lam in partitions_up_to(5):
+                for mu, _ in remove_box_positions(lam):
+                    for kind in "BC":
+                        expected = [_evaluated(e, point) for e in bc_matrix_coeff(kind, lam, mu).entries]
+                        assert bc_matrix_coeff(kind, lam, mu, point).entries == expected, (kind, lam, mu)
+        finally:
+            symfun.clear_field_caches(point)
+
+
 def test_e1_closed_form():
     for lam in partitions_up_to(5):
         if not lam:
@@ -495,8 +535,8 @@ def test_A_k_matrix_refuses_entry_outside_order_ideal(monkeypatch):
     # entry above its column in dominance, first seen in A_1
     table = families._dn_table
 
-    def bad_table(degree, N, top):
-        out = dict(table(degree, N, top))
+    def bad_table(degree, N, top, field=F):
+        out = dict(table(degree, N, top, field))
         if degree == 2:
             out[P(1, 1)][P(2)] = [{}, {(0, 0): 1}, {}]
         return out.items()
@@ -506,6 +546,27 @@ def test_A_k_matrix_refuses_entry_outside_order_ideal(monkeypatch):
     where = "row (2,), column (1, 1) lies outside the lower order ideal"
     with pytest.raises(BadMatrixEntry, match=r"A_1 at degree 2: the entry at " + re.escape(where)):
         A_k_matrix(1, 2)
+
+
+def test_A_k_matrix_refuses_entry_outside_order_ideal_at_a_point(monkeypatch):
+    """The same entry m_2 in the column of m_(1,1) at a sample point, where
+    the table holds ints over its denominator.  At a point an entry is seen
+    only where its value does not vanish, because a sample point certifies
+    only itself."""
+    table = families._dn_table
+    point = random_point(random.Random(20261019))
+
+    def bad_table(degree, N, top, field):
+        out = dict(table(degree, N, top, field))
+        if degree == 2:
+            out[P(1, 1)][P(2)] = [0, 1, 0]
+        return out.items()
+
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    monkeypatch.setattr(families, "_dn_table", bad_table)
+    where = "row (2,), column (1, 1) lies outside the lower order ideal"
+    with pytest.raises(BadMatrixEntry, match=r"A_1 at degree 2: the entry at " + re.escape(where)):
+        A_k_matrix(1, 2, point)
 
 
 def test_A_k_matrix_denominators_are_monomials():

@@ -144,8 +144,8 @@ def test_deigen_failure_names_the_u_power(monkeypatch):
     macdonald_M((1, 1, 1))
     real = families._dn_table
 
-    def perturbed(d, n, top):
-        for nu, column in real(d, n, top):
+    def perturbed(d, n, top, field=F):
+        for nu, column in real(d, n, top, field):
             if (d, n, nu) == (3, 3, P(2, 1)):
                 entry = [dict(poly) for poly in column[P(1, 1, 1)]]
                 entry[2][1, 1] = entry[2].get((1, 1), 0) + 1
@@ -160,6 +160,28 @@ def test_deigen_failure_names_the_u_power(monkeypatch):
     # J_(1,1,1) has no m_(2,1) term, and N = 4 reads another table
     assert check_deigen(3, P(1, 1, 1)).passed()
     assert check_deigen(4, P(2, 1)).passed()
+
+
+def test_deigen_takes_a_table_entry_with_an_explicit_zero(monkeypatch):
+    # a 0 coefficient beside the real ones in the u^1 entry at row m[1,1,1]
+    # of D_3(u) m_(2,1), and one alone in its empty u^0 entry: the lift
+    # drops them, so IntPoly2 products never meet a 0, and lifts the u^0
+    # entry to 0
+    macdonald_M((1, 1, 1))
+    real = families._dn_table
+
+    def padded(d, n, top, field=F):
+        for nu, column in real(d, n, top, field):
+            if (d, n, nu) == (3, 3, P(2, 1)):
+                column = dict(column)
+                entry = [dict(poly) for poly in column[P(1, 1, 1)]]
+                assert not entry[0]
+                entry[0][7, 7] = entry[1][7, 7] = 0
+                column[P(1, 1, 1)] = entry
+            yield nu, column
+
+    monkeypatch.setattr(families, "_dn_table", padded)
+    assert check_deigen(3, P(2, 1)).passed()
 
 
 def _theorem_by_field(k, lam):
