@@ -12,6 +12,7 @@ Polynomials, Ch. III, and Ch. VI §8 for J_lam).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,8 +38,6 @@ from .symfun import (
     NotDivisible,
     SingularTransition,
     SymFun,
-    _alternant_index,
-    _distinct_permutations,
     _express_in_basis,
     _memo,
     _p_to_m_degree,
@@ -152,34 +151,67 @@ def _dn_table(degree, N, top, field=SYMBOLIC):
     coefficient of D_N(u) m_nu.  top = 1 gives D^1; top = N gives all of
     D_N(u), one column at a time.
 
-    On x^e, e a permutation of nu, D_N(u) reads prod_i (1 + v q^(e_i) t^-i),
-    v = -u, times A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows
-    take each s_rho to monomials.  Over Q(q,t) L_s is an integer dict
-    {(a, i): n} of sum n q^a t^-i.  At a sample point q = qn/qd, t = tn/td
-    it is an int over `_dn_denominator`: the factor is
-    (qd^(e_i) tn^i + v qn^(e_i) td^i) / (qd^(e_i) tn^i), so every
-    permutation's product has the denominator qd^degree tn^(N(N-1)/2), and
-    the products and Kostka sums are int multiply-adds.
+    On x^e, e a permutation of nu with e + delta strict (`_dn_skeleton`),
+    D_N(u) reads prod_i (1 + v q^(e_i) t^-i), v = -u, times
+    A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each s_rho
+    to monomials.  Over Q(q,t) L_s is an integer dict {(a, i): n} of
+    sum n q^a t^-i.  At a sample point q = qn/qd, t = tn/td it is an int over
+    `_dn_denominator`, qd^degree tn^(N(N-1)/2): each factor is
+    (qd^(e_i) tn^i + v qn^(e_i) td^i) / (qd^(e_i) tn^i), so the products and
+    Kostka sums are int multiply-adds.
     """
-    kostka = kostka_rows(degree)
     if field.is_symbolic:
         add_product, add_scaled, clean = _laurent_products(N, top), _laurent_axpy, _laurent_clean
     else:
-        add_product, add_scaled, clean = _point_products(N, top, field), _point_axpy, list
-    for nu in enumerate_partitions(degree, max_length=N):
+        add_product, add_scaled, clean = _point_products(degree, N, top, field), _point_axpy, list
+    terms, kostka = _dn_skeleton(degree, N, field)
+    for nu, strict in terms.items():
         by_schur = {}
-        for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
-            index = _alternant_index(tuple(x + N - 1 - i for i, x in enumerate(e)))
-            if index is not None:
-                sign, rho = index
-                by_schur[rho] = add_product(by_schur.get(rho), sign, e)
+        for sign, e, rho in strict:
+            by_schur[rho] = add_product(by_schur.get(rho), sign, e)
         column = {}
         for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
-                if len(mu) <= N:
-                    column[mu] = add_scaled(column.get(mu), k, sums)
+                column[mu] = add_scaled(column.get(mu), k, sums)
         column = {mu: clean(entry) for mu, entry in column.items()}
         yield nu, {mu: entry for mu, entry in column.items() if any(entry)}
+
+
+def _dn_skeleton(degree, N, field):
+    """({nu: strict}, {rho: row}) over the partitions of the degree with at
+    most N parts: strict the (sign, e, rho) of `_strict_exponents`, row the
+    Kostka row {mu: K_(rho,mu)} over ell(mu) <= N.  It holds no field value;
+    its key ends with the field for clear_field_caches."""
+    def build():
+        rows = {rho: {mu: k for mu, k in row.items() if len(mu) <= N}
+                for rho, row in kostka_rows(degree).items() if len(rho) <= N}
+        return {nu: tuple(_strict_exponents(nu, N)) for nu in rows}, rows
+
+    return _memo(("dn_skeleton", degree, N, field), build)
+
+
+def _strict_exponents(nu, N):
+    """(sign, e, rho) in lexicographic order over the permutations e of nu
+    padded to N with e + delta strict, delta = (N-1, .., 0), where
+    A(x^(e + delta)) = sign a_(rho + delta).  Backtracking places e_i only
+    where e_i + N-1-i is unused; the sign counts inversions as they form."""
+    left = Counter(sorted(nu + (0,) * (N - len(nu))))
+    e = [0] * N
+
+    def rec(i, used, inversions):
+        if i == N:
+            # e + delta in ascending order, less (0, 1, ..): the parts of rho, least first
+            ascending = [y - j for j, y in enumerate(b for b in range(used.bit_length()) if used >> b & 1)]
+            yield -1 if inversions & 1 else 1, tuple(e), Partition(x for x in reversed(ascending) if x)
+            return
+        for x, n in left.items():
+            y = x + N - 1 - i
+            if n and not used >> y & 1:
+                left[x], e[i] = n - 1, x
+                yield from rec(i + 1, used | 1 << y, inversions + (used & ((1 << y) - 1)).bit_count())
+                left[x] = n
+
+    return rec(0, 0, 0)
 
 
 def _laurent_products(N, top):
@@ -218,16 +250,17 @@ def _laurent_clean(entry):
     return [{key: n for key, n in poly.items() if n} for poly in entry]
 
 
-def _point_products(N, top, field):
+def _point_products(degree, N, top, field):
     # the same v-list at a sample point: ints over `_dn_denominator`, each
     # factor 1 + v q^a t^-i taken as qd^a tn^i + v qn^a td^i
     qn, qd = field.q.numerator, field.q.denominator
     tn, td = field.t.numerator, field.t.denominator
+    pairs = [[(qd ** a * tn ** i, qn ** a * td ** i) for a in range(degree + 1)] for i in range(N)]
 
     def add(sums, sign, e):
         prod = [sign] + [0] * top
         for i, a in enumerate(e):
-            c, d = qd ** a * tn ** i, qn ** a * td ** i
+            c, d = pairs[i][a]
             for s in range(min(i + 1, top), 0, -1):
                 prod[s] = prod[s] * c + prod[s - 1] * d
             prod[0] *= c

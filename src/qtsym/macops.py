@@ -14,6 +14,7 @@ integer partial fractions (`_split_pochhammer`) and evaluated by `at`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,15 +129,21 @@ def apply_DN(f):
 def _v_product(factors, field=SYMBOLIC):
     """prod (c + v d) over the pairs (c, d) of factors, c and d keys (a, i)
     of monomials q^a t^-i, as (v-list, den) for `_split_pochhammer`: over
-    Q(q,t) integer dicts {(a, i): n} over 1, at a sample point ints over
-    the product of the factors' denominators."""
+    Q(q,t) integer dicts {(a, i): n} over 1; at a sample point q = qn/qd,
+    t = tn/td ints over the product of the monomials' denominators, each
+    monomial (i >= 0) the int pair qn^a td^i / (qd^a tn^i), or
+    qd^-a td^i / (qn^-a tn^i) when a < 0."""
     if not field.is_symbolic:
+        (qn, qd), (tn, td) = field.q.as_integer_ratio(), field.t.as_integer_ratio()
+
+        def at(a, i):
+            return (qn ** a if a >= 0 else qd ** -a) * td ** i, (qd ** a if a >= 0 else qn ** -a) * tn ** i
+
         out, den = [1], 1
         for pair in factors:
-            c, d = (field.q ** a * field.t ** -i for a, i in pair)
-            cn, dn = c.numerator * d.denominator, d.numerator * c.denominator
-            out = [cn * x + dn * y for x, y in zip(out + [0], [0] + out)]
-            den *= c.denominator * d.denominator
+            (cn, cd), (dn, dd) = (at(a, i) for a, i in pair)
+            out = [cn * dd * x + dn * cd * y for x, y in zip(out + [0], [0] + out)]
+            den *= cd * dd
         return out, den
     out = [{(0, 0): 1}]
     for (a0, i0), (a1, i1) in factors:
@@ -159,14 +166,12 @@ def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
     j = N-1 down to 0, leaves e_(j+1) as the remainder; each quotient
     coefficient is a difference times t^j.
 
-    At a sample point t = tn/td the values are ints and the e_k Fractions.
-    With v = w / td^(N-1), 1 + v t^-j = (w + b_j) / b_j, b_j = tn^j td^(N-1-j),
-    so td^(N(N-1)) den num is an integer polynomial in w, each division is
-    by the monic w + b_j, and e_k is its int remainder times
-    b_k .. b_(N-1), over td^(N(N-1)) den.
+    At a sample point the values are ints and the e_k Fractions, from the
+    ints of `_split_at_point` over td^(N(N-1)) den.
     """
     if not field.is_symbolic:
-        return _split_at_point(num, N, field.t, den)
+        scale = den * field.t.denominator ** (N * (N - 1))
+        return [Fraction(n, scale) for n in _split_at_point(num, N, field.t)]
     num = list(num) + [{}] * (N + 1 - len(num))
     out = []
     for j in range(N - 1, -1, -1):
@@ -182,12 +187,14 @@ def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
     return out[::-1]
 
 
-def _split_at_point(num, N, t, den):
-    # `_split_pochhammer` at t: every division and product in ints, one Fraction per e_k
+def _split_at_point(num, N, t):
+    """The e_k of `_split_pochhammer` at t = tn/td times td^(N(N-1)), ints for
+    an int v-list: with v = w / td^(N-1), 1 + v t^-j = (w + b_j) / b_j,
+    b_j = tn^j td^(N-1-j), each division is by the monic w + b_j in ints,
+    and e_k is its remainder times b_k .. b_(N-1)."""
     if any(num[N + 1:]):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
     tn, td = t.numerator, t.denominator
-    scale = den * td ** (N * (N - 1))
     w = [n * td ** ((N - 1) * (N - s)) for s, n in enumerate(num[:N + 1])] + [0] * (N + 1 - len(num))
     out, b_prod = [], 1
     for j in range(N - 1, -1, -1):
@@ -196,10 +203,10 @@ def _split_at_point(num, N, t, den):
         for n in reversed(w[1:]):
             carry = n - b * carry
             quotient.append(carry)
-        out.append(Fraction((w[0] - b * carry) * b_prod, scale))
+        out.append((w[0] - b * carry) * b_prod)
         b_prod *= b
         w = quotient[::-1]
-    out.append(Fraction(w[0] * b_prod, scale))
+    out.append(w[0] * b_prod)
     return out[::-1]
 
 
@@ -218,7 +225,7 @@ def apply_AN(f):
     entries = [{} for _ in range(N + 1)]
     for mu, c in f.coeffs.items():
         for total, matrix in zip(entries, _A_matrices(sum(mu), N, field)):
-            axpy(total, _lifted(matrix[mu], sum(mu), field), c)
+            axpy(total, _lifted(matrix[mu], sum(mu), N, field), c)
     return UFamily((NSymPoly(N, e, field) for e in entries), field)
 
 
@@ -242,50 +249,55 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
     degree, and takes A_k f to the k-th term of A_N(u) on the restricted f,
     so A_k vanishes for k > degree.  `verify symbol` certifies the matrix
     against the Hall-Littlewood symbol `A_k_apply` and against A_N(u) at
-    the other N.  Its Laurent entries are lifted from the table on each call.
+    the other N.  Its entries are lifted from the table on each call.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     matrices = _A_matrices(degree, degree, field)
-    return {mu: _lifted(matrices[k][mu] if k < len(matrices) else {}, degree, field) for mu in matrices[0]}
+    return {mu: _lifted(matrices[k][mu] if k < len(matrices) else {}, degree, degree, field) for mu in matrices[0]}
 
 
 def _A_matrices(degree, N, field):
     """[A_0, .., A_N] on the m_mu of the degree with ell(mu) <= N, from
     q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
 
-    `_split_pochhammer` takes the partial fractions of the entries of
-    `_dn_table` over the field, one column at a time.  Over Q(q,t) an entry
-    is its e_k, {(a, i): n} for sum n q^(a - degree) t^-i (`_lifted`); at a
-    sample point it is a Fraction, computed in ints from the point's table
-    over q^degree times the table's denominator, qn^degree tn^(N(N-1)/2).
-    An entry above its column raises BadMatrixEntry; at a point only an
-    entry whose value does not vanish is seen.
+    The partial fractions of the entries of `_dn_table`, one column at a
+    time; `_lifted` reads an entry over the field.  Over Q(q,t) an entry is
+    its e_k, {(a, i): n} for sum n q^(a - degree) t^-i.  At a sample point it
+    is the int of `_split_at_point` over the table's one denominator
+    `_A_denominator`.  An entry above its column raises BadMatrixEntry; at a
+    point only an entry whose value does not vanish is seen.
     """
     def build():
-        den = 1 if field.is_symbolic else (families._dn_denominator(degree, N, field) * field.q ** degree).numerator
         out = [{} for _ in range(N + 1)]
         for mu, column in families._dn_table(degree, N, N, field):
             for matrix in out:
                 matrix[mu] = {}
             for nu, num in column.items():
-                for k, e in enumerate(_split_pochhammer(num, N, field, den)):
-                    if not e:
-                        continue
-                    if not dominates(mu, nu):
-                        raise BadMatrixEntry(
-                            "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
-                            "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
-                    out[k][mu][nu] = e
+                inside = dominates(mu, nu)
+                split = _split_pochhammer(num, N) if field.is_symbolic else _split_at_point(num, N, field.t)
+                for k, e in enumerate(split):
+                    if e:
+                        if not inside:
+                            raise BadMatrixEntry(
+                                "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
+                                "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
+                        out[k][mu][nu] = e
         return out
 
     return _memo(("A_table", degree, N, field), build)
 
 
-def _lifted(column, degree, field):
-    # a column of `_A_matrices` over the field; a sample point's holds Fractions already
+def _A_denominator(degree, N, field):
+    # the one denominator of `_A_matrices` at a point: td^(N(N-1)) q^degree `_dn_denominator`
+    return field.q.numerator ** degree * field.t.numerator ** (N * (N - 1) // 2) * field.t.denominator ** (N * (N - 1))
+
+
+def _lifted(column, degree, N, field):
+    # a column of `_A_matrices(degree, N, field)` over the field
     if not field.is_symbolic:
-        return column
+        den = _A_denominator(degree, N, field)
+        return {nu: Fraction(e, den) for nu, e in column.items()}
     return {nu: families._laurent_lift(e, -degree) for nu, e in column.items()}
 
 
@@ -333,14 +345,21 @@ def _in_field(values, field):
     return [families._laurent_lift(e) for e in values] if field.is_symbolic else values
 
 
-def _A_k_equation(k, lam):
-    """A_k J_lam = e_k(lam) J_lam over Q(q,t) as (matrix, vec, scalar) for
-    `ratfun.first_unequal_row`: q^|lam| A_k, J_lam and q^|lam| e_k(lam), all
-    dicts {(a, i): n} of sum n q^a t^-i; A_k is 0 for k > |lam|, e_k for k > ell."""
+def _A_k_equation(k, lam, field=SYMBOLIC):
+    """A_k J_lam = e_k(lam) J_lam as (matrix, vec, scalar), the rows
+    sum_col matrix[col][row] vec[col] = scalar vec[row]; A_k is 0 for k > |lam|,
+    e_k for k > ell.  Over Q(q,t): q^|lam| A_k, J_lam and q^|lam| e_k(lam) as
+    dicts {(a, i): n} of sum n q^a t^-i.  At a point: A_k's ints, M_lam cleared
+    of denominators, and the Fraction e_k(lam) times `_A_denominator`."""
     degree = sum(lam)
-    e = _eigen_split(lam)[k] if len(lam) >= k else {}
-    return (_A_matrices(degree, degree, SYMBOLIC)[k] if k <= degree else {}, families._macdonald_laurent(lam),
-            {(a + degree, i): n for (a, i), n in e.items()})
+    matrix = _A_matrices(degree, degree, field)[k] if k <= degree else {}
+    e = _eigen_split(lam, field)[k] if len(lam) >= k else None
+    if field.is_symbolic:
+        return matrix, families._macdonald_laurent(lam), {(a + degree, i): n for (a, i), n in (e or {}).items()}
+    m = families._macdonald_integral(lam, field)
+    clear = math.lcm(*(c.denominator for c in m.values()))
+    return matrix, {mu: c.numerator * (clear // c.denominator) for mu, c in m.items()}, \
+        (e or 0) * _A_denominator(degree, degree, field)
 
 
 # ---------------------------------------------------------------------------

@@ -278,28 +278,27 @@ def _apply_matrix(matrix, coeffs):
     # sum c * column over the monomial coefficients of an operand
     out = {}
     for mu, c in coeffs.items():
-        axpy(out, matrix[mu], c)
+        axpy(out, matrix.get(mu, {}), c)
     return _nonzero(out)
 
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
     """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam = c_lam M_lam
-    (equivalent, c_lam != 0).  Over Q(q,t) each row is two Kronecker-packed
-    ints (`macops._A_k_equation`, `ratfun.first_unequal_row`), equal exactly
-    when the row holds, with no gcd.  At a sample point the point's A_k table
-    is applied to M_lam and e_k(lam) alone is read (`macops._eigen_split`);
-    a sample point certifies only itself."""
+    (equivalent, c_lam != 0), by the rows of `macops._A_k_equation`.  Over
+    Q(q,t) each row is two Kronecker-packed ints (`ratfun.first_unequal_row`),
+    equal exactly when the row holds, with no gcd.  At a sample point each
+    row is an int sum, compared with e_k(lam) by cross-multiplying its
+    numerator and denominator; a sample point certifies only itself."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
     if field.is_symbolic:
         key = first_unequal_row(*macops._A_k_equation(k, lam))
     else:
-        m = families._macdonald_integral(lam, field)
-        got = _apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
-        # A_k kills M_lam when ell(lam) < k
-        e = macops._eigen_split(lam, field)[k] if len(lam) >= k else field.zero
-        key = _first_difference(got, _nonzero({mu: c * e for mu, c in m.items()}))
+        matrix, vec, scalar = macops._A_k_equation(k, lam, field)
+        got = _apply_matrix(matrix, vec)
+        key = next((row for row in sorted(got.keys() | vec.keys())
+                    if got.get(row, 0) * scalar.denominator != scalar.numerator * vec.get(row, 0)), None)
     if key is None:
         return _finish("theorem_basic", params, t0, True)
     return _finish("theorem_basic", params, t0, False, "eigen-equation fails at m[%s]" % format_partition(key))

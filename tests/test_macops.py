@@ -28,6 +28,7 @@ from qtsym.partitions import (
     Partition,
     add_box_positions,
     enumerate_partitions,
+    kostka_rows,
     partitions_up_to,
     remove_box_positions,
 )
@@ -37,6 +38,8 @@ from qtsym.symfun import (
     NSymPoly,
     SymFun,
     XPoly,
+    _alternant_index,
+    _distinct_permutations,
     _perm_sign,
     convert,
     divide_by_vandermonde,
@@ -157,6 +160,30 @@ def test_dn_table_matches_explicit_alternant():
                     got = [NSymPoly(N, c, field) for c in families._dn_slices(column, d, N, field)]
                     m_nu = SymFun.generator("m", nu, field=field)
                     assert got == _apply_DN_reference(restrict(m_nu, N)), (d, N, nu)
+
+
+def test_strict_skeleton_equals_the_filtered_permutations(monkeypatch):
+    # the backtracking enumeration against every distinct permutation of nu
+    # padded to N, kept where _alternant_index finds e + delta strict: the
+    # same (sign, e, rho) in the same order, and the Kostka rows over ell <= N
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    kept = total = 0
+    for d in range(10):
+        for N in range(d + 2):
+            terms, rows = families._dn_skeleton(d, N, F)
+            assert list(terms) == enumerate_partitions(d, max_length=N), (d, N)
+            assert rows == {rho: {mu: k for mu, k in row.items() if len(mu) <= N}
+                            for rho, row in kostka_rows(d).items() if len(rho) <= N}, (d, N)
+            for nu, strict in terms.items():
+                old = []
+                for e in _distinct_permutations(nu + (0,) * (N - len(nu))):
+                    total += 1
+                    index = _alternant_index(tuple(x + N - 1 - i for i, x in enumerate(e)))
+                    if index is not None:
+                        old.append((index[0], e, index[1]))
+                assert list(strict) == old, (d, N, nu)
+                kept += len(old)
+    assert (kept, total) == (6112, 125477)
 
 
 def test_d1_columns_match_explicit_alternant():
@@ -425,9 +452,10 @@ def test_point_tables_equal_the_symbolic_tables_evaluated():
                     expected = [{mu: _evaluated(c, point) for mu, c in piece.items()}
                                 for piece in families._dn_slices(symbolic[nu], d, N, F)]
                     assert families._dn_slices(column, d, N, point) == expected, (d, N, nu)
-                tables = macops._A_matrices(d, N, point)
+                tables = [{mu: macops._lifted(column, d, N, point) for mu, column in matrix.items()}
+                          for matrix in macops._A_matrices(d, N, point)]
                 for k, matrix in enumerate(macops._A_matrices(d, N, F)):
-                    expected = {mu: {nu: _evaluated(c, point) for nu, c in macops._lifted(column, d, F).items()}
+                    expected = {mu: {nu: _evaluated(c, point) for nu, c in macops._lifted(column, d, N, F).items()}
                                 for mu, column in matrix.items()}
                     assert tables[k] == expected, (d, N, k)
             for lam in partitions_up_to(7):

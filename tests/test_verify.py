@@ -2,6 +2,8 @@ import io
 import json
 import random
 
+import pytest
+
 from qtsym import families, macops, ratfun, symfun, verify
 from qtsym.families import GreenTable, macdonald_M
 from qtsym.partitions import (
@@ -105,14 +107,14 @@ def test_theorem_examples():
     assert check_theorem_basic(2, P(1, 1)).passed()
 
 
-def _perturb(monkeypatch, k, degree, change):
+def _perturb(monkeypatch, k, degree, change, at=F):
     # the integer table of A_k, which the theorem check reads and A_k_matrix
-    # lifts, with change(columns) applied to a copy at one (k, degree)
+    # lifts, with change(columns) applied to a copy at one (k, degree, field)
     real = macops._A_matrices
 
     def perturbed(d, N, field):
         tables = real(d, N, field)
-        if (d, N, field) != (degree, degree, F):
+        if (d, N, field) != (degree, degree, at):
             return tables
         tables = list(tables)
         tables[k] = {mu: dict(column) for mu, column in tables[k].items()}
@@ -184,11 +186,12 @@ def test_deigen_takes_a_table_entry_with_an_explicit_zero(monkeypatch):
     assert check_deigen(3, P(2, 1)).passed()
 
 
-def _theorem_by_field(k, lam):
-    # the RatFun route: the lifted matrix A_k_matrix applied to J_lam
-    m = families._macdonald_integral(lam)
-    got = verify._apply_matrix(macops.A_k_matrix(k, sum(lam)), m)
-    e = macops.A_k_eigen(lam).entry(k) if len(lam) >= k else F.zero
+def _theorem_by_field(k, lam, field=F):
+    # the field route (RatFun, or Fraction at a point): the lifted matrix
+    # A_k_matrix applied to J_lam
+    m = families._macdonald_integral(lam, field)
+    got = verify._apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
+    e = macops.A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero
     key = verify._first_difference(got, verify._nonzero({mu: c * e for mu, c in m.items()}))
     return None if key is None else "eigen-equation fails at m[%s]" % format_partition(key)
 
@@ -214,6 +217,66 @@ def test_packed_and_field_routes_name_the_same_witness(monkeypatch):
             witnesses = [(check_theorem_basic(k, lam).witness, _theorem_by_field(k, lam)) for lam in lams]
         assert all(a == b for a, b in witnesses), witnesses
         assert any(a for a, _ in witnesses), (degree, k, row, column)
+
+
+def test_point_theorem_check_names_the_witness_of_the_fraction_route(monkeypatch):
+    # one seeded entry of one A_k table at a sample point, an int over the
+    # table's denominator, moved by a few units: the int rows and the
+    # Fraction route name the same witness on every lam of that degree
+    rng = random.Random(1919)
+    point = random_point(rng)
+    try:
+        failing = 0
+        for _ in range(8):
+            degree = rng.randint(2, 6)
+            k = rng.randint(1, degree)
+            lams = enumerate_partitions(degree)
+            row, column, n = rng.choice(lams), rng.choice(lams), rng.choice((-3, -1, 1, 2))
+
+            def change(matrix):
+                entry = matrix[column].get(row, 0) + n
+                matrix[column].pop(row, None)
+                if entry:
+                    matrix[column][row] = entry
+
+            with monkeypatch.context() as patch:
+                _perturb(patch, k, degree, change, point)
+                witnesses = [(check_theorem_basic(k, lam, point).witness, _theorem_by_field(k, lam, point))
+                             for lam in lams]
+            assert all(a == b for a, b in witnesses), witnesses
+            failing += sum(1 for a, _ in witnesses if a)
+        assert failing
+        for d in range(6):
+            for lam in enumerate_partitions(d):
+                for k in range(1, 5):
+                    assert check_theorem_basic(k, lam, point).witness is _theorem_by_field(k, lam, point) is None
+    finally:
+        symfun.clear_field_caches(point)
+
+
+@pytest.mark.parametrize("change", [lambda e: e + 1, lambda e: e / 1000003], ids=["plus-one", "over-a-prime"])
+def test_point_theorem_check_refuses_a_wrong_eigenvalue(monkeypatch, change):
+    # e_k(lam) + 1, or e_k(lam) / p with p prime to every denominator, at a
+    # sample point: every row where M_lam has a coefficient differs, so the
+    # witness is the least monomial of M_lam.  Over a prime, e_k(lam) times
+    # the table's denominator keeps its numerator and gains the denominator
+    # p, which only the cross-multiplication sees
+    point = random_point(random.Random(1920))
+    real = macops._eigen_split
+
+    def wrong(lam, field=F):
+        return [change(e) for e in real(lam, field)]
+
+    monkeypatch.setattr(macops, "_eigen_split", wrong)
+    try:
+        for d in range(1, 6):
+            for lam in enumerate_partitions(d):
+                first = min(families.macdonald_in_m(lam, point))
+                for k in range(1, len(lam) + 1):
+                    report = check_theorem_basic(k, lam, point)
+                    assert report.witness == "eigen-equation fails at m[%s]" % format_partition(first), (k, lam)
+    finally:
+        symfun.clear_field_caches(point)
 
 
 def test_symbolic_theorem_check_takes_no_gcd_and_builds_no_ratfun(monkeypatch):
