@@ -164,7 +164,8 @@ def _dn_table(degree, N, top, field=SYMBOLIC):
         add_product, add_scaled, clean = _laurent_products(N, top), _laurent_axpy, _laurent_clean
     else:
         add_product, add_scaled, clean = _point_products(degree, N, top, field), _point_axpy, list
-    terms, kostka = _dn_skeleton(degree, N, field)
+    # the skeleton holds no field value: every field shares the symbolic entry
+    terms, kostka = _dn_skeleton(degree, N, SYMBOLIC)
     for nu, strict in terms.items():
         by_schur = {}
         for sign, e, rho in strict:
@@ -180,8 +181,9 @@ def _dn_table(degree, N, top, field=SYMBOLIC):
 def _dn_skeleton(degree, N, field):
     """({nu: strict}, {rho: row}) over the partitions of the degree with at
     most N parts: strict the (sign, e, rho) of `_strict_exponents`, row the
-    Kostka row {mu: K_(rho,mu)} over ell(mu) <= N.  It holds no field value;
-    its key ends with the field for clear_field_caches."""
+    Kostka row {mu: K_(rho,mu)} over ell(mu) <= N.  It holds no field value,
+    so `_dn_table` reads the SYMBOLIC entry in every field; the key ends
+    with the field for clear_field_caches."""
     def build():
         rows = {rho: {mu: k for mu, k in row.items() if len(mu) <= N}
                 for rho, row in kostka_rows(degree).items() if len(rho) <= N}

@@ -26,15 +26,14 @@ from .partitions import (
     dominates,
     enumerate_partitions,
 )
-from .ratfun import SYMBOLIC
-from . import families
+from .ratfun import SYMBOLIC, IntPoly2
+from . import families, ratfun
 from .symfun import (
     NotDivisible,
     NSymPoly,
     SymFun,
     _memo,
     adjoint_apply,
-    axpy,
     convert,
     p_multiply,
 )
@@ -111,19 +110,123 @@ def apply_DN(f):
     """Coefficients of the u-polynomial D_N(u) f, as N-variable polynomials.
 
     N = f.N and D_N(u) = a_delta^-1 sum_w eps(w) w(x^delta prod_i
-    (1 - u t^-i T_{q,x_i})), i = 0..N-1: the columns of
-    `families._dn_table` at N, summed over the monomials of f one degree at
-    a time.
+    (1 - u t^-i T_{q,x_i})), i = 0..N-1: the integer table of
+    `families._dn_table` at N, one degree at a time (`_dn_matrices`),
+    multiplied into the coefficients of f over one denominator
+    (`_apply_tables`), so an operand over monomial denominators takes no gcd.
     """
-    N = f.N
     field = f.field
-    sums = [{} for _ in range(N + 1)]
-    for degree in {sum(nu) for nu in f.coeffs}:
+    return _apply_tables(f, lambda degree: (_dn_matrices(degree, f.N, field),
+                                            0 if field.is_symbolic else families._dn_denominator(degree, f.N, field)))
+
+
+def _dn_matrices(degree, N, field):
+    """[T_0, .., T_N] on the monomials of the degree with at most N parts,
+    T_s = {nu: {mu: c}} the u^s slice of D_N(u): the entries of
+    `families._dn_table` at N with the sign (-1)^s taken in and zeros dropped.
+
+    `_dn_table` is a stream that the A_k tables and the Macdonald build read
+    once per degree; this memo keeps the one table each `apply_DN` sweep
+    reads again for every operand.
+    """
+    def build():
+        out = [{} for _ in range(N + 1)]
         for nu, column in families._dn_table(degree, N, N, field):
-            if nu in f.coeffs:
-                for total, piece in zip(sums, families._dn_slices(column, degree, N, field)):
-                    axpy(total, piece, f.coeffs[nu])
-    return [NSymPoly(N, total, field) for total in sums]
+            for mu, entry in column.items():
+                for s, c in enumerate(entry):
+                    sign = -1 if s % 2 else 1
+                    c = {key: sign * n for key, n in c.items() if n} if field.is_symbolic else sign * c
+                    if c:
+                        out[s].setdefault(nu, {})[mu] = c
+        return out
+
+    return _memo(("dn_table", degree, N, field), build)
+
+
+def _apply_tables(f, tables):
+    """[sum_nu c_nu T_s[nu] for s], c_nu the coefficients of f and T_s the
+    integer tables of each degree, as NSymPolys in f.N variables.
+
+    tables(degree) gives ([T_0, T_1, ..], scale), T_s = {nu: {mu: e}}.  Over
+    Q(q,t) an entry e = {(a, i): n} stands for sum n q^(a + scale) t^-i; at a
+    sample point it is an int over the denominator scale.  The coefficients
+    of f are written over one denominator first (`_cleared`), the products
+    and sums are taken in integers (`_table_apply`), and each output entry is
+    lifted once.
+    """
+    field = f.field
+    vec, common = _cleared(f)
+    by_degree = {}
+    for nu, x in vec.items():
+        by_degree.setdefault(sum(nu), {})[nu] = x
+    out = [{} for _ in range(f.N + 1)]
+    for degree, part in by_degree.items():
+        matrices, scale = tables(degree)
+        for total, matrix in zip(out, matrices):
+            for mu, entry in _table_apply(matrix, part, field).items():
+                total[mu] = _lift(entry, scale, field, common)
+    return [NSymPoly(f.N, total, field) for total in out]
+
+
+def _cleared(f):
+    """(vec, common): the coefficients of f over one denominator common.
+
+    At a sample point vec holds ints over the lcm of the Fractions'
+    denominators.  Over Q(q,t) each denominator is split into a monomial,
+    folded into the exponents of the integer dict {(a, i): n} (sum
+    n q^a t^-i) of its numerator, and a remainder; common is the lcm of the
+    remainders, None when they are all 1, and only then is no gcd taken.
+    """
+    coeffs = f.coeffs
+    if not f.field.is_symbolic:
+        common = math.lcm(*(c.denominator for c in coeffs.values()))
+        return {nu: c.numerator * (common // c.denominator) for nu, c in coeffs.items()}, common
+    split = {}
+    for nu, c in coeffs.items():
+        if not isinstance(c, ratfun.RatFun):
+            c = ratfun.RatFun.from_fraction(c)
+        den = c.den.terms
+        a0, b0 = min(x for x, _ in den), min(y for _, y in den)
+        split[nu] = c.num, a0, b0, IntPoly2({(x - a0, y - b0): n for (x, y), n in den.items()})
+    common = None
+    for rest in {rest for *_, rest in split.values() if rest != 1}:
+        common = rest if common is None else common * ratfun.poly_divexact(rest, ratfun.poly_gcd(common, rest))
+    vec = {}
+    for nu, (num, a0, b0, rest) in split.items():
+        if common is not None:
+            num = num * ratfun.poly_divexact(common, rest)
+        vec[nu] = {(x - a0, b0 - y): n for (x, y), n in num.terms.items()}
+    return vec, common
+
+
+def _table_apply(matrix, vec, field):
+    """{row: sum over col of matrix[col][row] vec[col]}, zeros dropped: over
+    Q(q,t) products of integer dicts {(a, i): n}, at a point of ints."""
+    out = {}
+    if not field.is_symbolic:
+        for col, x in vec.items():
+            for row, e in matrix.get(col, {}).items():
+                out[row] = out.get(row, 0) + e * x
+        return {row: n for row, n in out.items() if n}
+    for col, x in vec.items():
+        terms = x.items()
+        for row, e in matrix.get(col, {}).items():
+            target = out.setdefault(row, {})
+            for (a, i), n in e.items():
+                for (b, j), m in terms:
+                    key = a + b, i + j
+                    target[key] = target.get(key, 0) + n * m
+    out = {row: {key: n for key, n in poly.items() if n} for row, poly in out.items()}
+    return {row: poly for row, poly in out.items() if poly}
+
+
+def _lift(entry, scale, field, common=None):
+    # one integer entry over the field, as `_apply_tables` reads it, in one
+    # RatFun or one Fraction; common is a further denominator
+    if not field.is_symbolic:
+        return Fraction(entry, scale if common is None else scale * common)
+    value = families._laurent_lift(entry, scale)
+    return value if common is None else ratfun.RatFun(value.num, value.den * common)
 
 
 def _v_product(factors, field=SYMBOLIC):
@@ -219,14 +322,12 @@ def _shifted_difference(a, b, j):
 
 
 def apply_AN(f):
-    """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand."""
-    N = f.N
+    """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand.  The
+    integer tables of `_A_matrices` at N multiplied into f as `apply_DN`
+    multiplies its table (`_apply_tables`)."""
     field = f.field
-    entries = [{} for _ in range(N + 1)]
-    for mu, c in f.coeffs.items():
-        for total, matrix in zip(entries, _A_matrices(sum(mu), N, field)):
-            axpy(total, _lifted(matrix[mu], sum(mu), N, field), c)
-    return UFamily((NSymPoly(N, e, field) for e in entries), field)
+    return UFamily(_apply_tables(f, lambda degree: (_A_matrices(degree, f.N, field), _A_scale(degree, f.N, field))),
+                   field)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +355,9 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
     if k < 0:
         raise ValueError("k must be nonnegative")
     matrices = _A_matrices(degree, degree, field)
-    return {mu: _lifted(matrices[k][mu] if k < len(matrices) else {}, degree, degree, field) for mu in matrices[0]}
+    scale = _A_scale(degree, degree, field)
+    return {mu: {nu: _lift(e, scale, field) for nu, e in (matrices[k][mu] if k < len(matrices) else {}).items()}
+            for mu in matrices[0]}
 
 
 def _A_matrices(degree, N, field):
@@ -262,7 +365,7 @@ def _A_matrices(degree, N, field):
     q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
 
     The partial fractions of the entries of `_dn_table`, one column at a
-    time; `_lifted` reads an entry over the field.  Over Q(q,t) an entry is
+    time; `_lift` reads an entry over the field.  Over Q(q,t) an entry is
     its e_k, {(a, i): n} for sum n q^(a - degree) t^-i.  At a sample point it
     is the int of `_split_at_point` over the table's one denominator
     `_A_denominator`.  An entry above its column raises BadMatrixEntry; at a
@@ -288,17 +391,14 @@ def _A_matrices(degree, N, field):
     return _memo(("A_table", degree, N, field), build)
 
 
+def _A_scale(degree, N, field):
+    # what an entry of `_A_matrices` stands for, as `_apply_tables` reads it
+    return -degree if field.is_symbolic else _A_denominator(degree, N, field)
+
+
 def _A_denominator(degree, N, field):
     # the one denominator of `_A_matrices` at a point: td^(N(N-1)) q^degree `_dn_denominator`
     return field.q.numerator ** degree * field.t.numerator ** (N * (N - 1) // 2) * field.t.denominator ** (N * (N - 1))
-
-
-def _lifted(column, degree, N, field):
-    # a column of `_A_matrices(degree, N, field)` over the field
-    if not field.is_symbolic:
-        den = _A_denominator(degree, N, field)
-        return {nu: Fraction(e, den) for nu, e in column.items()}
-    return {nu: families._laurent_lift(e, -degree) for nu, e in column.items()}
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):

@@ -25,10 +25,7 @@ from .families import (
     macdonald_in_m,
     morris_phi,
 )
-from .macops import (
-    A_k_eigen,
-    step_series_apply,
-)
+from .macops import A_k_eigen, step_series_apply
 from .partitions import (
     LengthExceedsN,
     Partition,
@@ -247,39 +244,38 @@ def check_green(degree, field=SYMBOLIC):
 
 def check_deigen(N, lam, field=SYMBOLIC):
     """D_N(u) M_lam = prod_i (1 - u q^(lam_i) t^(1-i)) M_lam in N variables,
-    power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0),
-    applied by `macops.apply_DN` over the field: exact in RatFun over Q(q,t),
-    and a sample point certifies only itself.  At N = |lam| the u^1 term applies
-    the D^1 slice of the table (`families._dn_table`) that J_lam was solved
-    from, so it cannot fail there; that table's independent oracle is the
-    explicit alternant of the tests (`tests/test_macops.py::_apply_DN_reference`)."""
+    power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0).
+    Both sides go through `macops._apply_tables`: the left is
+    `macops.apply_DN`, the right the diagonal table of the product's
+    v-coefficients (`macops._v_product`, v = -u), so each is an integer
+    product lifted once per entry.  Over Q(q,t) the check is exact and,
+    J_lam lying in Z[q,t], takes no gcd; a sample point certifies only
+    itself.  At N = |lam| the u^1 term applies the D^1 slice of the table
+    (`families._dn_table`) that J_lam was solved from, so it cannot fail
+    there; that table's independent oracle is the explicit alternant of the
+    tests (`tests/test_macops.py::_apply_DN_reference`)."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"N": N, "lam": tuple(lam)}
     f = restrict(SymFun("m", dict(families._macdonald_integral(lam, field)), sum(lam), field), N)
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
-    # the u-coefficients of prod_i (1 - u q^(lam_i) t^(1-i))
-    expect = [field.one]
-    for i, part in enumerate(padded, start=1):
-        root = field.q ** part * field.t ** (1 - i)
-        expect = [a - root * b for a, b in zip(expect + [field.zero], [field.zero] + expect)]
+    # prod_i (1 + v q^(lam_i) t^(1-i)); its v^k coefficient times (-1)^k is the u^k one
+    v, den = macops._v_product((((0, 0), (part, i)) for i, part in enumerate(padded)), field)
+    diagonal = []
+    for k, c in enumerate(v):
+        if k % 2:
+            c = {key: -n for key, n in c.items()} if field.is_symbolic else -c
+        diagonal.append({nu: {nu: c} for nu in f.coeffs})
+    expect = macops._apply_tables(f, lambda degree: (diagonal, 0 if field.is_symbolic else den))
     for k in range(N + 1):
-        if coeffs[k] != f.scale(expect[k]):
+        if coeffs[k] != expect[k]:
             return _finish("deigen", params, t0, False, "u-power %d differs" % k)
     return _finish("deigen", params, t0, True)
 
 
 def _nonzero(coeffs):
     return {key: c for key, c in coeffs.items() if c}
-
-
-def _apply_matrix(matrix, coeffs):
-    # sum c * column over the monomial coefficients of an operand
-    out = {}
-    for mu, c in coeffs.items():
-        axpy(out, matrix.get(mu, {}), c)
-    return _nonzero(out)
 
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
@@ -296,7 +292,7 @@ def check_theorem_basic(k, lam, field=SYMBOLIC):
         key = first_unequal_row(*macops._A_k_equation(k, lam))
     else:
         matrix, vec, scalar = macops._A_k_equation(k, lam, field)
-        got = _apply_matrix(matrix, vec)
+        got = macops._table_apply(matrix, vec, field)
         key = next((row for row in sorted(got.keys() | vec.keys())
                     if got.get(row, 0) * scalar.denominator != scalar.numerator * vec.get(row, 0)), None)
     if key is None:
@@ -306,21 +302,36 @@ def check_theorem_basic(k, lam, field=SYMBOLIC):
 
 def check_commute(k, l, degree, field=SYMBOLIC):
     """[A_k, A_l] = 0 on the monomials of one degree, and the diagonals of
-    A_k and A_l are the eigenvalues e_k and e_l."""
+    A_k and A_l are the eigenvalues e_k and e_l.
+
+    Both read the integer tables of `macops._A_matrices` at N = degree.
+    Over Q(q,t) the columns of A_k A_l and A_l A_k are products of integer
+    dicts, both over q^(2 degree), and a diagonal entry is compared with
+    q^degree e_j (`macops._eigen_split`), as `macops._A_k_equation` does.
+    At a sample point the products are ints over the square of the tables'
+    denominator, and a diagonal entry over it is compared with e_j."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
-    a = {j: macops.A_k_matrix(j, degree, field) for j in (k, l)}
+    tables = macops._A_matrices(degree, degree, field)
+    a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
+    den = 1 if field.is_symbolic else macops._A_denominator(degree, degree, field)
     for mu in enumerate_partitions(degree):
-        kl = _apply_matrix(a[k], a[l][mu])
-        lk = _apply_matrix(a[l], a[k][mu])
+        kl = macops._table_apply(a[k], a[l].get(mu, {}), field)
+        lk = macops._table_apply(a[l], a[k].get(mu, {}), field)
         nu = _first_difference(kl, lk)
         if nu is not None:
             return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
                            % (k, l, degree, format_partition(nu), format_partition(mu)))
-        fam = A_k_eigen(mu, field)
+        eigen = macops._eigen_split(mu, field)
         for j in (k, l):
-            # entry(j) is None when ell(mu) < j
-            if a[j][mu].get(mu, field.zero) != (fam.entry(j) or field.zero):
+            # e_j vanishes for j > ell(mu)
+            e = eigen[j] if j < len(eigen) else None
+            entry = a[j].get(mu, {}).get(mu)
+            if field.is_symbolic:
+                ok = (entry or {}) == {(x + degree, i): n for (x, i), n in (e or {}).items()}
+            else:
+                ok = Fraction(entry or 0, den) == (e or 0)
+            if not ok:
                 return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
                                % (j, degree, format_partition(mu), format_partition(mu)))
     return _finish("commute", params, t0, True)

@@ -400,6 +400,7 @@ def test_integral_build_refuses_a_d1_entry_outside_zqt(monkeypatch):
         out[Partition((2,))][Partition((1, 1))][1][0, 2] = 1
         return out.items()
 
+    monkeypatch.setattr(symfun, "_CACHE", dict(symfun._CACHE))
     monkeypatch.setattr(families, "_dn_table", bad_table)
     monkeypatch.delitem(symfun._CACHE, ("macdonald", 2, F), raising=False)
     with pytest.raises(InexactDivision):
@@ -449,6 +450,7 @@ def test_macdonald_build_refuses_column_outside_order_ideal(monkeypatch):
         out[Partition((2, 1))][Partition((3,))] = [0, 1]
         return out.items()
 
+    monkeypatch.setattr(symfun, "_CACHE", dict(symfun._CACHE))
     monkeypatch.setattr(families, "_dn_table", bad_table)
     point = NumericField(Fraction(3, 7), Fraction(5, 11))
     try:

@@ -1,5 +1,6 @@
 import random
 import re
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
@@ -197,11 +198,35 @@ def test_d1_columns_match_explicit_alternant():
                 assert got == _apply_DN_reference(restrict(m_nu, d))[1], (d, nu)
 
 
-def test_DN_and_AN_on_edge_operands():
-    # N = 0, degree-0 and mixed-degree operands, and N above the degree.
+def _assert_DN_and_AN_match_reference(f):
     # A_N(u) is checked against q^(-deg) D_N(u) / (u;1/t)_N with D_N from the
     # explicit alternant: both sides times (u;1/t)_N have u-degree <= N, so
     # N + 1 values of u decide the identity
+    N, field = f.N, f.field
+    by_degree = {}
+    for mu, a in f.coeffs.items():
+        by_degree.setdefault(sum(mu), {})[mu] = a
+    renormalised = [(field.q ** (-d), _apply_DN_reference(NSymPoly(N, part, field)))
+                    for d, part in by_degree.items()]
+    expected = [NSymPoly(N, {}, field) for _ in range(N + 1)]
+    for _, coeffs_u in renormalised:
+        expected = [a + b for a, b in zip(expected, coeffs_u)]
+    assert apply_DN(f) == expected, f
+    fam = apply_AN(f)
+    assert len(fam) == N + 1
+    for u0 in map(field.from_int, range(2, N + 3)):
+        lhs = NSymPoly(N, {}, field)
+        for k, entry in enumerate(fam.entries):
+            lhs = lhs + entry.scale(field.one / pochhammer_u(u0, k, field))
+        rhs = NSymPoly(N, {}, field)
+        for shift, coeffs_u in renormalised:
+            for s, g in enumerate(coeffs_u):
+                rhs = rhs + g.scale(shift * u0 ** s / pochhammer_u(u0, N, field))
+        assert lhs == rhs, (f, u0)
+
+
+def test_DN_and_AN_on_edge_operands():
+    # N = 0, degree-0 and mixed-degree operands, and N above the degree
     for field in (F, random_point(random.Random(20261018))):
         c = field.from_int(3) * field.q / (field.one - field.q * field.t)
         operands = [
@@ -212,29 +237,28 @@ def test_DN_and_AN_on_edge_operands():
             (3, {P(2): field.one, P(1, 1): c, P(1): field.from_int(-2)}),
             (4, {P(2, 1): c, P(3): field.one}),
             (5, {P(1): field.one, P(): c}),
+            (2, {P(1, 1): 2, P(1): Fraction(-1, 3)}),
         ]
         for N, coeffs in operands:
-            f = restrict(SymFun("m", coeffs, 3, field), N)
-            by_degree = {}
-            for mu, a in f.coeffs.items():
-                by_degree.setdefault(sum(mu), {})[mu] = a
-            renormalised = [(field.q ** (-d), _apply_DN_reference(NSymPoly(N, part, field)))
-                            for d, part in by_degree.items()]
-            expected = [NSymPoly(N, {}, field) for _ in range(N + 1)]
-            for _, coeffs_u in renormalised:
-                expected = [a + b for a, b in zip(expected, coeffs_u)]
-            assert apply_DN(f) == expected, (N, coeffs)
-            fam = apply_AN(f)
-            assert len(fam) == N + 1
-            for u0 in map(field.from_int, range(2, N + 3)):
-                lhs = NSymPoly(N, {}, field)
-                for k, entry in enumerate(fam.entries):
-                    lhs = lhs + entry.scale(field.one / pochhammer_u(u0, k, field))
-                rhs = NSymPoly(N, {}, field)
-                for shift, coeffs_u in renormalised:
-                    for s, g in enumerate(coeffs_u):
-                        rhs = rhs + g.scale(shift * u0 ** s / pochhammer_u(u0, N, field))
-                assert lhs == rhs, (N, coeffs, u0)
+            _assert_DN_and_AN_match_reference(restrict(SymFun("m", coeffs, 3, field), N))
+
+
+def test_DN_and_AN_on_operands_over_non_monomial_denominators():
+    # M_lam, whose coefficients lie over products of 1 - q^a t^b, and a
+    # mixed-degree sum of them, in Q(q,t) and at one seeded point: the
+    # operand is written over one denominator, multiplied into the integer
+    # tables and each output entry lifted once
+    for field in (F, random_point(random.Random(20261021))):
+        c = (field.one - field.q) / (field.one - field.q ** 2 * field.t)
+        mixed = macdonald_M(P(2, 1), 3, field) + macdonald_M(P(1, 1), 3, field).scale(c) \
+            + macdonald_M(P(1), 3, field) + macdonald_M(P(), 3, field).scale(c)
+        for N in range(1, 4):
+            if field.is_symbolic:
+                assert macops._cleared(restrict(mixed, N))[1] is not None
+            for lam in partitions_up_to(3):
+                if len(lam) <= N:
+                    _assert_DN_and_AN_match_reference(restrict(macdonald_M(lam, field=field), N))
+            _assert_DN_and_AN_match_reference(restrict(mixed, N))
 
 
 def test_deigen_small_sweep():
@@ -434,6 +458,12 @@ def _evaluated(value, point):
     return value.evaluate(point.q, point.t)
 
 
+def _lifted(column, degree, N, field):
+    # a column of `_A_matrices(degree, N, field)` over the field
+    scale = macops._A_scale(degree, N, field)
+    return {nu: macops._lift(e, scale, field) for nu, e in column.items()}
+
+
 def test_point_tables_equal_the_symbolic_tables_evaluated():
     # the tables built in ints at a sample point against the Q(q,t) tables
     # evaluated there by RatFun.evaluate, entry for entry: D_N(u) and A_N(u)
@@ -452,10 +482,10 @@ def test_point_tables_equal_the_symbolic_tables_evaluated():
                     expected = [{mu: _evaluated(c, point) for mu, c in piece.items()}
                                 for piece in families._dn_slices(symbolic[nu], d, N, F)]
                     assert families._dn_slices(column, d, N, point) == expected, (d, N, nu)
-                tables = [{mu: macops._lifted(column, d, N, point) for mu, column in matrix.items()}
+                tables = [{mu: _lifted(column, d, N, point) for mu, column in matrix.items()}
                           for matrix in macops._A_matrices(d, N, point)]
                 for k, matrix in enumerate(macops._A_matrices(d, N, F)):
-                    expected = {mu: {nu: _evaluated(c, point) for nu, c in macops._lifted(column, d, N, F).items()}
+                    expected = {mu: {nu: _evaluated(c, point) for nu, c in _lifted(column, d, N, F).items()}
                                 for mu, column in matrix.items()}
                     assert tables[k] == expected, (d, N, k)
             for lam in partitions_up_to(7):

@@ -142,7 +142,10 @@ def test_theorem_failure_names_the_monomial(monkeypatch):
 
 def test_deigen_failure_names_the_u_power(monkeypatch):
     # q t^-1 more in the u^2 entry at row m[1,1,1] of D_3(u) m_(2,1); the
-    # Macdonald table is built first, from the true D^1
+    # Macdonald table is built first, from the true D^1.  The patched table
+    # is memoised by apply_DN in a copy of the caches, without the true one
+    monkeypatch.setattr(symfun, "_CACHE", dict(symfun._CACHE))
+    monkeypatch.delitem(symfun._CACHE, ("dn_table", 3, 3, F), raising=False)
     macdonald_M((1, 1, 1))
     real = families._dn_table
 
@@ -164,11 +167,63 @@ def test_deigen_failure_names_the_u_power(monkeypatch):
     assert check_deigen(4, P(2, 1)).passed()
 
 
+def test_deigen_failure_names_the_u_power_at_a_point(monkeypatch):
+    # the same u^2 entry at a sample point, an int over the table's
+    # denominator, one unit more; the Macdonald table at the point is built
+    # first, from the true D^1
+    point = random_point(random.Random(20261022))
+    monkeypatch.setattr(symfun, "_CACHE", dict(symfun._CACHE))
+    macdonald_M((1, 1, 1), field=point)
+    real = families._dn_table
+
+    def perturbed(d, n, top, field=F):
+        for nu, column in real(d, n, top, field):
+            if (d, n, nu, field) == (3, 3, P(2, 1), point):
+                column = dict(column)
+                entry = list(column[P(1, 1, 1)])
+                entry[2] += 1
+                column[P(1, 1, 1)] = entry
+            yield nu, column
+
+    monkeypatch.setattr(families, "_dn_table", perturbed)
+    report = check_deigen(3, P(2, 1), point)
+    assert not report.passed()
+    assert report.witness == "u-power 2 differs"
+    assert check_deigen(3, P(1, 1, 1), point).passed()
+    assert check_deigen(4, P(2, 1), point).passed()
+    assert check_deigen(3, P(2, 1)).passed()
+
+
+def test_deigen_sweep_takes_no_gcd(monkeypatch):
+    # once the tables of degree <= 3 are built, the symbolic deigen sweep
+    # multiplies integers alone: J_lam lies in Z[q,t], so apply_DN clears no
+    # denominator, and each side lifts its entries over monomials
+    for d in range(4):
+        for lam in enumerate_partitions(d):
+            families._macdonald_laurent(lam)
+        for N in range(1, 4):
+            macops._dn_matrices(d, N, F)
+    calls = []
+    real = ratfun.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    reports = list(run_suite("deigen", {"N": 3, "max_weight": 3}))
+    assert reports and all(r.passed() for r in reports), [r.witness for r in reports]
+    assert len(calls) == 0
+
+
 def test_deigen_takes_a_table_entry_with_an_explicit_zero(monkeypatch):
     # a 0 coefficient beside the real ones in the u^1 entry at row m[1,1,1]
-    # of D_3(u) m_(2,1), and one alone in its empty u^0 entry: the lift
-    # drops them, so IntPoly2 products never meet a 0, and lifts the u^0
-    # entry to 0
+    # of D_3(u) m_(2,1), and one alone in its empty u^0 entry: apply_DN's
+    # memo drops them, so its integer products never meet a 0, and the u^0
+    # entry stays empty.  The padded table is memoised in a copy of the
+    # caches, without the true one
+    monkeypatch.setattr(symfun, "_CACHE", dict(symfun._CACHE))
+    monkeypatch.delitem(symfun._CACHE, ("dn_table", 3, 3, F), raising=False)
     macdonald_M((1, 1, 1))
     real = families._dn_table
 
@@ -190,7 +245,11 @@ def _theorem_by_field(k, lam, field=F):
     # the field route (RatFun, or Fraction at a point): the lifted matrix
     # A_k_matrix applied to J_lam
     m = families._macdonald_integral(lam, field)
-    got = verify._apply_matrix(macops.A_k_matrix(k, sum(lam), field), m)
+    matrix = macops.A_k_matrix(k, sum(lam), field)
+    got = {}
+    for mu, c in m.items():
+        symfun.axpy(got, matrix[mu], c)
+    got = verify._nonzero(got)
     e = macops.A_k_eigen(lam, field).entry(k) if len(lam) >= k else field.zero
     key = verify._first_difference(got, verify._nonzero({mu: c * e for mu, c in m.items()}))
     return None if key is None else "eigen-equation fails at m[%s]" % format_partition(key)
@@ -322,6 +381,36 @@ def test_commute_failure_on_the_diagonal(monkeypatch):
     report = check_commute(1, 2, 3)
     assert not report.passed()
     assert report.witness == "diagonal of A_1 at degree 3: row m[3], column m[3]"
+
+
+def test_commute_failures_at_a_point_name_the_symbolic_witnesses(monkeypatch):
+    # the entries of the two perturbations above at a sample point, ints
+    # over the table's denominator den: one unit more at row m[1,1,1],
+    # column m[2,1], and den more (A_1 + 1) on every diagonal
+    point = random_point(random.Random(20261023))
+    den = macops._A_denominator(3, 3, point)
+
+    def add(matrix, row, column, n):
+        entry = matrix[column].get(row, 0) + n
+        matrix[column].pop(row, None)
+        if entry:
+            matrix[column][row] = entry
+
+    def shift(matrix):
+        for mu in matrix:
+            add(matrix, mu, mu, den)
+
+    try:
+        assert all(check_commute(k, l, 3, point).passed() for k, l in ((1, 2), (1, 3), (2, 3)))
+        with monkeypatch.context() as patch:
+            _perturb(patch, 1, 3, lambda a: add(a, P(1, 1, 1), P(2, 1), 1), point)
+            assert check_commute(1, 2, 3, point).witness == "[A_1, A_2] at degree 3: row m[1,1,1], column m[3]"
+            assert check_commute(2, 3, 3, point).passed()
+        with monkeypatch.context() as patch:
+            _perturb(patch, 1, 3, shift, point)
+            assert check_commute(1, 2, 3, point).witness == "diagonal of A_1 at degree 3: row m[3], column m[3]"
+    finally:
+        symfun.clear_field_caches(point)
 
 
 def test_symbol_sweep_passes():
