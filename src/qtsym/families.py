@@ -152,24 +152,22 @@ def _dn_table(degree, N, top, field=SYMBOLIC):
     D_N(u), one column at a time.
 
     On x^e, e a permutation of nu with e + delta strict (`_dn_skeleton`),
-    D_N(u) reads prod_i (1 + v q^(e_i) t^-i), v = -u, times
+    D_N(u) reads prod_i (1 + v q^(e_i) t^-i), v = -u (`_v_product`), times
     A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each s_rho
     to monomials.  Over Q(q,t) L_s is an integer dict {(a, i): n} of
-    sum n q^a t^-i.  At a sample point q = qn/qd, t = tn/td it is an int over
-    `_dn_denominator`, qd^degree tn^(N(N-1)/2): each factor is
-    (qd^(e_i) tn^i + v qn^(e_i) td^i) / (qd^(e_i) tn^i), so the products and
-    Kostka sums are int multiply-adds.
+    sum n q^a t^-i.  At a sample point it is an int over
+    `_dn_denominator`, qd^degree tn^(N(N-1)/2), the one denominator of every
+    product, so the Kostka sums are int multiply-adds.
     """
-    if field.is_symbolic:
-        add_product, add_scaled, clean = _laurent_products(N, top), _laurent_axpy, _laurent_clean
-    else:
-        add_product, add_scaled, clean = _point_products(degree, N, top, field), _point_axpy, list
+    add_scaled, clean = (_laurent_axpy, _laurent_clean) if field.is_symbolic else (_point_axpy, list)
     # the skeleton holds no field value: every field shares the symbolic entry
     terms, kostka = _dn_skeleton(degree, N, SYMBOLIC)
+    # at a point the factors' int pairs, built once for every product
+    pairs = None if field.is_symbolic else [[_point_pair(i, a, field) for a in range(degree + 1)] for i in range(N)]
     for nu, strict in terms.items():
         by_schur = {}
         for sign, e, rho in strict:
-            by_schur[rho] = add_product(by_schur.get(rho), sign, e)
+            by_schur[rho] = add_scaled(by_schur.get(rho), sign, _v_product(enumerate(e), field, top, pairs)[0])
         column = {}
         for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
@@ -216,32 +214,46 @@ def _strict_exponents(nu, N):
     return rec(0, 0, 0)
 
 
-def _laurent_products(N, top):
-    # the v-list of sign prod_i (1 + v q^(e_i) t^-i) through v^top, added
-    # into the integer dicts of one Schur index a factor at a time
-    powers = [range(min(i + 1, top), 0, -1) for i in range(N)]  # the v-powers factor i reaches, top down
+def _v_product(factors, field=SYMBOLIC, top=None, pairs=None):
+    """prod (1 + v q^a t^-i) over the pairs (i, a) of factors, a, i >= 0,
+    through v^top (all of it when top is None), as (v-list, den).  Over
+    Q(q,t) the v-list holds integer dicts {(a, i): n} of sum n q^a t^-i over
+    den = 1.  At a sample point q = qn/qd, t = tn/td it holds ints over den,
+    the product of the qd^a tn^i: each factor is taken as
+    (qd^a tn^i + v qn^a td^i) / (qd^a tn^i), its int pair read from
+    pairs[i][a] when given."""
+    if top is None:
+        factors = list(factors)
+        top = len(factors)
+    if field.is_symbolic:
+        prod = [{(0, 0): 1}] + [{} for _ in range(top)]
+        for n, (i, a) in enumerate(factors, 1):
+            # the v-powers the first n factors reach, top down
+            for s in range(min(n, top), 0, -1):
+                target = prod[s]
+                for (x, y), c in prod[s - 1].items():
+                    key = x + a, y + i
+                    target[key] = target.get(key, 0) + c
+        return prod, 1
+    prod = [1] + [0] * top
+    for n, (i, a) in enumerate(factors, 1):
+        c, d = pairs[i][a] if pairs else _point_pair(i, a, field)
+        for s in range(min(n, top), 0, -1):
+            prod[s] = prod[s] * c + prod[s - 1] * d
+        prod[0] *= c
+    # the v^0 coefficient is the product of the denominators
+    return prod, prod[0]
 
-    def add(sums, sign, e):
-        if sums is None:
-            sums = [{} for _ in range(top + 1)]
-        sums[0][0, 0] = sums[0].get((0, 0), 0) + sign
-        prod = [{(0, 0): sign}] + [{} for _ in range(top - 1)]
-        for i, a in enumerate(e):
-            for s in powers[i]:
-                target = prod[s] if s < top else sums[s]
-                for (x, y), n in prod[s - 1].items():
-                    key = (x + a, y + i)
-                    target[key] = target.get(key, 0) + n
-        for target, poly in zip(sums[1:top], prod[1:]):
-            for key, n in poly.items():
-                target[key] = target.get(key, 0) + n
-        return sums
-    return add
+
+def _point_pair(i, a, field):
+    # (qd^a tn^i, qn^a td^i): 1 + v q^a t^-i at a sample point, times qd^a tn^i
+    (qn, qd), (tn, td) = field.q.as_integer_ratio(), field.t.as_integer_ratio()
+    return qd ** a * tn ** i, qn ** a * td ** i
 
 
 def _laurent_axpy(entry, k, sums):
     if entry is None:
-        entry = [{} for _ in sums]
+        return [{key: k * n for key, n in poly.items()} for poly in sums]
     for target, poly in zip(entry, sums):
         for key, n in poly.items():
             target[key] = target.get(key, 0) + k * n
@@ -252,49 +264,16 @@ def _laurent_clean(entry):
     return [{key: n for key, n in poly.items() if n} for poly in entry]
 
 
-def _point_products(degree, N, top, field):
-    # the same v-list at a sample point: ints over `_dn_denominator`, each
-    # factor 1 + v q^a t^-i taken as qd^a tn^i + v qn^a td^i
-    qn, qd = field.q.numerator, field.q.denominator
-    tn, td = field.t.numerator, field.t.denominator
-    pairs = [[(qd ** a * tn ** i, qn ** a * td ** i) for a in range(degree + 1)] for i in range(N)]
-
-    def add(sums, sign, e):
-        prod = [sign] + [0] * top
-        for i, a in enumerate(e):
-            c, d = pairs[i][a]
-            for s in range(min(i + 1, top), 0, -1):
-                prod[s] = prod[s] * c + prod[s - 1] * d
-            prod[0] *= c
-        return prod if sums is None else [x + n for x, n in zip(sums, prod)]
-    return add
-
-
 def _point_axpy(entry, k, sums):
-    return [k * n for n in sums] if entry is None else [x + k * n for x, n in zip(entry, sums)]
+    # lists of ints are never changed in place, so sums may be returned as it is
+    if entry is None:
+        return sums if k == 1 else [k * n for n in sums]
+    return [x + k * n for x, n in zip(entry, sums)]
 
 
 def _dn_denominator(degree, N, field):
     """The one denominator qd^degree tn^(N(N-1)/2) of `_dn_table` at a sample point."""
     return field.q.denominator ** degree * field.t.numerator ** (N * (N - 1) // 2)
-
-
-def _dn_slices(column, degree, N, field):
-    """One column of `_dn_table(degree, N, top, field)` over the field: its u^s slices {mu: c}."""
-    if field.is_symbolic:
-        def value(s, c):
-            return _laurent_lift({key: -n for key, n in c.items()} if s % 2 else c)
-    else:
-        den = _dn_denominator(degree, N, field)
-
-        def value(s, c):
-            return Fraction(-c if s % 2 else c, den)
-    out = [{} for _ in next(iter(column.values()))]
-    for mu, entry in column.items():
-        for s, c in enumerate(entry):
-            if c:
-                out[s][mu] = value(s, c)
-    return out
 
 
 def _laurent_lift(entry, shift=0):
@@ -347,8 +326,10 @@ def _macdonald_degree(degree, field):
 
     def build():
         d1 = {}
+        den = None if symbolic else _dn_denominator(degree, degree, field)
         for nu, column in _dn_table(degree, degree, 1, field):
-            d1[nu] = _integral_d1(column, degree) if symbolic else _dn_slices(column, degree, degree, field)[1]
+            d1[nu] = _integral_d1(column, degree) if symbolic else {
+                mu: Fraction(-entry[1], den) for mu, entry in column.items() if entry[1]}
             for mu in d1[nu]:
                 if not dominates(nu, mu):
                     raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"

@@ -229,36 +229,6 @@ def _lift(entry, scale, field, common=None):
     return value if common is None else ratfun.RatFun(value.num, value.den * common)
 
 
-def _v_product(factors, field=SYMBOLIC):
-    """prod (c + v d) over the pairs (c, d) of factors, c and d keys (a, i)
-    of monomials q^a t^-i, as (v-list, den) for `_split_pochhammer`: over
-    Q(q,t) integer dicts {(a, i): n} over 1; at a sample point q = qn/qd,
-    t = tn/td ints over the product of the monomials' denominators, each
-    monomial (i >= 0) the int pair qn^a td^i / (qd^a tn^i), or
-    qd^-a td^i / (qn^-a tn^i) when a < 0."""
-    if not field.is_symbolic:
-        (qn, qd), (tn, td) = field.q.as_integer_ratio(), field.t.as_integer_ratio()
-
-        def at(a, i):
-            return (qn ** a if a >= 0 else qd ** -a) * td ** i, (qd ** a if a >= 0 else qn ** -a) * tn ** i
-
-        out, den = [1], 1
-        for pair in factors:
-            (cn, cd), (dn, dd) = (at(a, i) for a, i in pair)
-            out = [cn * dd * x + dn * cd * y for x, y in zip(out + [0], [0] + out)]
-            den *= cd * dd
-        return out, den
-    out = [{(0, 0): 1}]
-    for (a0, i0), (a1, i1) in factors:
-        new = [{} for _ in range(len(out) + 1)]
-        for s, poly in enumerate(out):
-            for (a, i), n in poly.items():
-                new[s][a + a0, i + i0] = new[s].get((a + a0, i + i0), 0) + n
-                new[s + 1][a + a1, i + i1] = new[s + 1].get((a + a1, i + i1), 0) + n
-        out = new
-    return out, 1
-
-
 def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
     """Exact e_0..e_N with num(v) / (u;1/t)_N = sum_k e_k / (u;1/t)_k, v = -u,
     num a v-list of at most N + 1 values over den.
@@ -428,38 +398,44 @@ def A_k_eigen(lam, field=SYMBOLIC):
     """The eigenvalue of the full family on M_lam,
     prod_i (q^(-lam_i) - u t^(1-i)) / (u;1/t)_ell, as sum_k e_k / (u;1/t)_k.
 
-    The e_k are the exact partial fractions of the numerator,
-    prod_i (q^(-lam_i) + v t^(1-i)) in v = -u.
+    The e_k are q^-|lam| times the exact partial fractions of
+    prod_i (1 + v q^(lam_i) t^(1-i)) in v = -u (`_eigen_split`).
     """
-    return UFamily(_in_field(_eigen_split(Partition(lam), field), field), field)
+    lam = Partition(lam)
+    return UFamily(_in_field(_eigen_split(lam, field), field, -sum(lam)), field)
 
 
 def _eigen_split(lam, field=SYMBOLIC):
-    # the e_k of `A_k_eigen`: integer dicts {(a, i): n}, sum n q^a t^-i, or Fractions at a point
-    num, den = _v_product((((-part, 0), (0, i)) for i, part in enumerate(lam)), field)
+    # q^|lam| e_k(lam), the unit of the A_k tables: the partial fractions of
+    # prod_i (1 + v q^(lam_i) t^-i), i from 0 (`families._v_product`), as
+    # integer dicts {(a, i): n} of sum n q^a t^-i, or Fractions at a point
+    num, den = families._v_product(enumerate(lam), field)
     return _split_pochhammer(num, len(lam), field, den)
 
 
-def _in_field(values, field):
-    # e_k of `_split_pochhammer` as field elements: integer dicts lifted, Fractions as they are
-    return [families._laurent_lift(e) for e in values] if field.is_symbolic else values
+def _in_field(values, field, shift):
+    # q^shift times the e_k of `_split_pochhammer`, as field elements
+    if field.is_symbolic:
+        return [families._laurent_lift(e, shift) for e in values]
+    return [e * field.q ** shift for e in values]
 
 
 def _A_k_equation(k, lam, field=SYMBOLIC):
     """A_k J_lam = e_k(lam) J_lam as (matrix, vec, scalar), the rows
     sum_col matrix[col][row] vec[col] = scalar vec[row]; A_k is 0 for k > |lam|,
-    e_k for k > ell.  Over Q(q,t): q^|lam| A_k, J_lam and q^|lam| e_k(lam) as
-    dicts {(a, i): n} of sum n q^a t^-i.  At a point: A_k's ints, M_lam cleared
-    of denominators, and the Fraction e_k(lam) times `_A_denominator`."""
+    e_k for k > ell.  Over Q(q,t): q^|lam| A_k, J_lam and q^|lam| e_k(lam)
+    (`_eigen_split`) as dicts {(a, i): n} of sum n q^a t^-i.  At a point:
+    A_k's ints, M_lam cleared of denominators, and the Fraction e_k(lam)
+    times `_A_denominator`."""
     degree = sum(lam)
     matrix = _A_matrices(degree, degree, field)[k] if k <= degree else {}
     e = _eigen_split(lam, field)[k] if len(lam) >= k else None
     if field.is_symbolic:
-        return matrix, families._macdonald_laurent(lam), {(a + degree, i): n for (a, i), n in (e or {}).items()}
+        return matrix, families._macdonald_laurent(lam), e or {}
     m = families._macdonald_integral(lam, field)
     clear = math.lcm(*(c.denominator for c in m.values()))
     return matrix, {mu: c.numerator * (clear // c.denominator) for mu, c in m.items()}, \
-        (e or 0) * _A_denominator(degree, degree, field)
+        (e or 0) * field.q ** -degree * _A_denominator(degree, degree, field)
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +517,9 @@ def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
-    num, den = _v_product((((-part, 0), (0, j)) for j, part in enumerate(lam) if j != i - 1), field)
+    num, den = families._v_product(((j, part) for j, part in enumerate(lam) if j != i - 1), field)
     scalar = _bc_scalar(kind, lam, mu, field) * field.t ** (1 - i)
-    entries = _in_field(_split_pochhammer(num, len(lam), field, den), field)
+    entries = _in_field(_split_pochhammer(num, len(lam), field, den), field, lam[i - 1] - sum(lam))
     return UFamily((e * scalar for e in entries), field)
 
 

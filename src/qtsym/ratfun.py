@@ -534,9 +534,12 @@ def poly_divexact(a, b):
 def first_unequal_row(matrix, vec, scalar):
     """The first row, in sorted order, where sum_col matrix[col][row] vec[col]
     and scalar vec[row] differ, or None, over Laurent dicts {(a, b): n} of
-    sum n q^a t^b.  Each side is one int under the Kronecker ring map
-    q^a t^b -> 2^(B (a - a0 + W (b - b0))) (Harvey, arXiv:0712.4046): W exceeds
-    each product's q-span and 2^B each coefficient of the row's difference
+    sum n x^a y^b.  The operator tables pass sum n q^a t^-b
+    (`macops._A_k_equation`); the packing holds under that reading as
+    under y = t, since t -> 1/t only renames the second variable.  Each
+    side is one int under the Kronecker ring map
+    x^a y^b -> 2^(B (a - a0 + W (b - b0))) (Harvey, arXiv:0712.4046): W exceeds
+    each product's x-span and 2^B each coefficient of the row's difference
     (`_packing`), so the packed difference is 0 only if the row's is."""
     rows, width, span, left, right = _packing(matrix, vec, scalar)
     packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
@@ -558,7 +561,7 @@ def _packing(matrix, vec, scalar):
 
 
 def _box(polys):
-    # (least q-exponent, greatest q-exponent, least t-exponent) of the keys
+    # (least a, greatest a, least b) over the keys (a, b)
     keys = [key for poly in polys for key in poly] or [(0, 0)]
     return min(a for a, _ in keys), max(a for a, _ in keys), min(b for _, b in keys)
 

@@ -247,7 +247,7 @@ def check_deigen(N, lam, field=SYMBOLIC):
     power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0).
     Both sides go through `macops._apply_tables`: the left is
     `macops.apply_DN`, the right the diagonal table of the product's
-    v-coefficients (`macops._v_product`, v = -u), so each is an integer
+    v-coefficients (`families._v_product`, v = -u), so each is an integer
     product lifted once per entry.  Over Q(q,t) the check is exact and,
     J_lam lying in Z[q,t], takes no gcd; a sample point certifies only
     itself.  At N = |lam| the u^1 term applies the D^1 slice of the table
@@ -261,7 +261,7 @@ def check_deigen(N, lam, field=SYMBOLIC):
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
     # prod_i (1 + v q^(lam_i) t^(1-i)); its v^k coefficient times (-1)^k is the u^k one
-    v, den = macops._v_product((((0, 0), (part, i)) for i, part in enumerate(padded)), field)
+    v, den = families._v_product(enumerate(padded), field)
     diagonal = []
     for k, c in enumerate(v):
         if k % 2:
@@ -306,10 +306,11 @@ def check_commute(k, l, degree, field=SYMBOLIC):
 
     Both read the integer tables of `macops._A_matrices` at N = degree.
     Over Q(q,t) the columns of A_k A_l and A_l A_k are products of integer
-    dicts, both over q^(2 degree), and a diagonal entry is compared with
-    q^degree e_j (`macops._eigen_split`), as `macops._A_k_equation` does.
-    At a sample point the products are ints over the square of the tables'
-    denominator, and a diagonal entry over it is compared with e_j."""
+    dicts, both over q^(2 degree), and a diagonal entry of q^degree A_j is
+    compared with the split q^degree e_j of `macops._eigen_split`, as
+    `macops._A_k_equation` does.  At a sample point the products are ints
+    over the square of the tables' denominator, and a diagonal entry over
+    it, times q^degree, is compared with that split."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
     tables = macops._A_matrices(degree, degree, field)
@@ -328,9 +329,9 @@ def check_commute(k, l, degree, field=SYMBOLIC):
             e = eigen[j] if j < len(eigen) else None
             entry = a[j].get(mu, {}).get(mu)
             if field.is_symbolic:
-                ok = (entry or {}) == {(x + degree, i): n for (x, i), n in (e or {}).items()}
+                ok = (entry or {}) == (e or {})
             else:
-                ok = Fraction(entry or 0, den) == (e or 0)
+                ok = Fraction(entry or 0, den) * field.q ** degree == (e or 0)
             if not ok:
                 return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
                                % (j, degree, format_partition(mu), format_partition(mu)))

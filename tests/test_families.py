@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtsym import families, symfun
+from qtsym import families, macops, symfun
 from qtsym.families import (
     green_table,
     hall_littlewood,
@@ -313,7 +313,8 @@ def test_macdonald_matches_gram_schmidt_at_sample_points():
 def _d1_solve_reference(degree, field):
     # the former library build: the D^1 slice lifted to the field, solved
     # from c[lam] = 1 with a field division (a reduced RatFun) at every step
-    d1 = {nu: families._dn_slices(column, degree, degree, field)[1]
+    scale = 0 if field.is_symbolic else families._dn_denominator(degree, degree, field)
+    d1 = {nu: {mu: -macops._lift(entry[1], scale, field) for mu, entry in column.items() if entry[1]}
           for nu, column in families._dn_table(degree, degree, 1, field)}
     order = sorted(d1, key=grevlex_key)
     out = {}
@@ -600,3 +601,30 @@ def test_laurent_lift_is_the_reduced_fraction():
         for (a, i), n in entry.items():
             expected = expected + F.from_int(n) * F.q ** (a + shift) * F.t ** (-i)
         assert families._laurent_lift(entry, shift) == expected, (entry, shift)
+
+
+def test_v_product_expands_the_linear_factors():
+    # prod (1 + v q^a t^-i) over random pairs (i, a), the empty list among
+    # them, against its RatFun expansion one factor at a time, through v^top
+    # for top = 0, 1, one below the length and None (the whole product); at
+    # a seeded sample point the ints over den, the product of the qd^a tn^i,
+    # are the symbolic entries evaluated there
+    rng = random.Random(20261022)
+    point = random_point(rng)
+    (qn, qd), (tn, td) = point.q.as_integer_ratio(), point.t.as_integer_ratio()
+    for trial in range(60):
+        factors = [(rng.randint(0, 5), rng.randint(0, 4)) for _ in range(trial % 6)]
+        expansion = [F.one]
+        for i, a in factors:
+            m = F.q ** a * F.t ** (-i)
+            expansion = [x + m * y for x, y in zip(expansion + [F.zero], [F.zero] + expansion)]
+        den = 1
+        for i, a in factors:
+            den *= qd ** a * tn ** i
+        for top in (0, 1, max(len(factors) - 1, 0), None):
+            want = expansion if top is None else (expansion + [F.zero] * top)[:top + 1]
+            entries, one = families._v_product(iter(factors), F, top)
+            assert (one, [families._laurent_lift(e) for e in entries]) == (1, want), (factors, top)
+            ints, got_den = families._v_product(iter(factors), point, top)
+            assert got_den == den, (factors, top)
+            assert [Fraction(n, den) for n in ints] == [c.evaluate(point.q, point.t) for c in want], (factors, top)

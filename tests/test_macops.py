@@ -158,9 +158,21 @@ def test_dn_table_matches_explicit_alternant():
                 columns = dict(families._dn_table(d, N, N, field))
                 assert list(columns) == [nu for nu in enumerate_partitions(d) if len(nu) <= N], (d, N)
                 for nu, column in columns.items():
-                    got = [NSymPoly(N, c, field) for c in families._dn_slices(column, d, N, field)]
+                    got = [NSymPoly(N, c, field) for c in _dn_slices(column, d, N, field)]
                     m_nu = SymFun.generator("m", nu, field=field)
                     assert got == _apply_DN_reference(restrict(m_nu, N)), (d, N, nu)
+
+
+def _dn_slices(column, degree, N, field):
+    # one `_dn_table` column over the field as its u^s slices {mu: c}: each
+    # entry lifted by `macops._lift`, with the sign (-1)^s the table leaves out
+    scale = 0 if field.is_symbolic else families._dn_denominator(degree, N, field)
+    out = [{} for _ in next(iter(column.values()))]
+    for mu, entry in column.items():
+        for s, c in enumerate(entry):
+            if c:
+                out[s][mu] = -macops._lift(c, scale, field) if s % 2 else macops._lift(c, scale, field)
+    return out
 
 
 def test_strict_skeleton_equals_the_filtered_permutations(monkeypatch):
@@ -193,7 +205,7 @@ def test_d1_columns_match_explicit_alternant():
     for field in (F, random_point(random.Random(20261018))):
         for d in range(1, 5):
             for nu, column in families._dn_table(d, d, 1, field):
-                got = NSymPoly(d, families._dn_slices(column, d, d, field)[1], field)
+                got = NSymPoly(d, _dn_slices(column, d, d, field)[1], field)
                 m_nu = SymFun.generator("m", nu, field=field)
                 assert got == _apply_DN_reference(restrict(m_nu, d))[1], (d, nu)
 
@@ -480,8 +492,8 @@ def test_point_tables_equal_the_symbolic_tables_evaluated():
                 assert list(at_point) == list(symbolic), (d, N)
                 for nu, column in at_point.items():
                     expected = [{mu: _evaluated(c, point) for mu, c in piece.items()}
-                                for piece in families._dn_slices(symbolic[nu], d, N, F)]
-                    assert families._dn_slices(column, d, N, point) == expected, (d, N, nu)
+                                for piece in _dn_slices(symbolic[nu], d, N, F)]
+                    assert _dn_slices(column, d, N, point) == expected, (d, N, nu)
                 tables = [{mu: _lifted(column, d, N, point) for mu, column in matrix.items()}
                           for matrix in macops._A_matrices(d, N, point)]
                 for k, matrix in enumerate(macops._A_matrices(d, N, F)):
