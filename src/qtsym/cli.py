@@ -182,6 +182,8 @@ FAMILIES = ("macdonald", "hl-p", "hl-q", "schur", "monomial", "powersum")
 
 
 def cmd_expand(args):
+    if args.to not in BASES:
+        raise CliError("unknown basis %r" % args.to, USAGE_ERROR)
     try:
         lam = parse_partition(args.partition)
     except ValueError as exc:
@@ -201,13 +203,13 @@ def cmd_expand(args):
         f = SymFun.generator("p", lam, bound)
     else:
         raise CliError("unknown family %r" % args.family, USAGE_ERROR)
-    if args.to not in BASES:
-        raise CliError("unknown basis %r" % args.to, USAGE_ERROR)
     print(render_symfun(convert(f, args.to), args.format))
     return 0
 
 
 def cmd_apply(args):
+    if args.to not in (None, *BASES):
+        raise CliError("unknown basis %r" % args.to, USAGE_ERROR)
     try:
         value = parse_expression(args.to_expr)
     except (ParseError, DivisionByZero) as exc:

@@ -147,17 +147,17 @@ def q_row_series(degree_bound, field=SYMBOLIC):
 def _dn_table(degree, N, top, field=SYMBOLIC):
     """D_N(u) on the monomials of one degree in N variables, through u^top:
     yields (nu, {mu: [L_0, .., L_top]}) over nu and mu of the degree with at
-    most N parts, (-1)^s L_s being the u^s coefficient of the m_mu
-    coefficient of D_N(u) m_nu.  top = 1 gives D^1; top = N gives all of
-    D_N(u), one column at a time.
+    most N parts, L_s the u^s coefficient of the m_mu coefficient of
+    D_N(u) m_nu.  top = 1 gives D^1; top = N gives all of D_N(u), one column
+    at a time.
 
     On x^e, e a permutation of nu with e + delta strict (`_dn_skeleton`),
-    D_N(u) reads prod_i (1 + v q^(e_i) t^-i), v = -u (`_v_product`), times
+    D_N(u) reads prod_i (1 - u q^(e_i) t^-i) (`_u_product`) times
     A(x^(e + delta)) / a_delta = sign s_rho; the Kostka rows take each s_rho
     to monomials.  Over Q(q,t) L_s is an integer dict {(a, i): n} of
     sum n q^a t^-i.  At a sample point it is an int over
-    `_dn_denominator`, qd^degree tn^(N(N-1)/2), the one denominator of every
-    product, so the Kostka sums are int multiply-adds.
+    `_dn_denominator`, the one denominator of every product, so the Kostka
+    sums are int multiply-adds.
     """
     add_scaled, clean = (_laurent_axpy, _laurent_clean) if field.is_symbolic else (_point_axpy, list)
     # the skeleton holds no field value: every field shares the symbolic entry
@@ -167,7 +167,7 @@ def _dn_table(degree, N, top, field=SYMBOLIC):
     for nu, strict in terms.items():
         by_schur = {}
         for sign, e, rho in strict:
-            by_schur[rho] = add_scaled(by_schur.get(rho), sign, _v_product(enumerate(e), field, top, pairs)[0])
+            by_schur[rho] = add_scaled(by_schur.get(rho), sign, _u_product(enumerate(e), field, top, pairs)[0])
         column = {}
         for rho, sums in by_schur.items():
             for mu, k in kostka[rho].items():
@@ -214,13 +214,13 @@ def _strict_exponents(nu, N):
     return rec(0, 0, 0)
 
 
-def _v_product(factors, field=SYMBOLIC, top=None, pairs=None):
-    """prod (1 + v q^a t^-i) over the pairs (i, a) of factors, a, i >= 0,
-    through v^top (all of it when top is None), as (v-list, den).  Over
-    Q(q,t) the v-list holds integer dicts {(a, i): n} of sum n q^a t^-i over
-    den = 1.  At a sample point q = qn/qd, t = tn/td it holds ints over den,
-    the product of the qd^a tn^i: each factor is taken as
-    (qd^a tn^i + v qn^a td^i) / (qd^a tn^i), its int pair read from
+def _u_product(factors, field=SYMBOLIC, top=None, pairs=None):
+    """prod (1 - u q^a t^-i) over the pairs (i, a) of factors, a, i >= 0,
+    through u^top (all of it when top is None), as (u-coefficients, den).
+    Over Q(q,t) the coefficients are integer dicts {(a, i): n} of
+    sum n q^a t^-i over den = 1.  At a sample point q = qn/qd, t = tn/td
+    they are ints over den, the product of the qd^a tn^i: each factor is
+    taken as (qd^a tn^i - u qn^a td^i) / (qd^a tn^i), its int pair read from
     pairs[i][a] when given."""
     if top is None:
         factors = list(factors)
@@ -228,12 +228,12 @@ def _v_product(factors, field=SYMBOLIC, top=None, pairs=None):
     if field.is_symbolic:
         prod = [{(0, 0): 1}] + [{} for _ in range(top)]
         for n, (i, a) in enumerate(factors, 1):
-            # the v-powers the first n factors reach, top down
+            # the u-powers the first n factors reach, top down
             for s in range(min(n, top), 0, -1):
                 target = prod[s]
                 for (x, y), c in prod[s - 1].items():
                     key = x + a, y + i
-                    target[key] = target.get(key, 0) + c
+                    target[key] = target.get(key, 0) - c
         return prod, 1
     prod = [1] + [0] * top
     for n, (i, a) in enumerate(factors, 1):
@@ -241,14 +241,14 @@ def _v_product(factors, field=SYMBOLIC, top=None, pairs=None):
         for s in range(min(n, top), 0, -1):
             prod[s] = prod[s] * c + prod[s - 1] * d
         prod[0] *= c
-    # the v^0 coefficient is the product of the denominators
+    # the u^0 coefficient is the product of the denominators
     return prod, prod[0]
 
 
 def _point_pair(i, a, field):
-    # (qd^a tn^i, qn^a td^i): 1 + v q^a t^-i at a sample point, times qd^a tn^i
+    # (qd^a tn^i, -qn^a td^i): 1 - u q^a t^-i at a sample point, times qd^a tn^i
     (qn, qd), (tn, td) = field.q.as_integer_ratio(), field.t.as_integer_ratio()
-    return qd ** a * tn ** i, qn ** a * td ** i
+    return qd ** a * tn ** i, -qn ** a * td ** i
 
 
 def _laurent_axpy(entry, k, sums):
@@ -272,7 +272,9 @@ def _point_axpy(entry, k, sums):
 
 
 def _dn_denominator(degree, N, field):
-    """The one denominator qd^degree tn^(N(N-1)/2) of `_dn_table` at a sample point."""
+    """The one denominator of `_dn_table`: 1 over Q(q,t), qd^degree tn^(N(N-1)/2) at a sample point."""
+    if field.is_symbolic:
+        return 1
     return field.q.denominator ** degree * field.t.numerator ** (N * (N - 1) // 2)
 
 
@@ -302,7 +304,7 @@ def _integral_factor(lam):
 def _integral_d1(column, degree):
     """t^(degree-1) times the D^1 slice of one `_dn_table` column, {mu: IntPoly2};
     an entry left outside Z[q,t] raises InexactDivision."""
-    out = {mu: {(a, degree - 1 - i): -n for (a, i), n in entry[1].items()}
+    out = {mu: {(a, degree - 1 - i): n for (a, i), n in entry[1].items()}
            for mu, entry in column.items() if entry[1]}
     if any(min(key) < 0 for poly in out.values() for key in poly):
         raise InexactDivision("t^%d D^1 has an entry outside Z[q,t]" % (degree - 1))
@@ -320,16 +322,17 @@ def _macdonald_degree(degree, field):
     (Macdonald, Ch. VI §8), so each division by the gap is exact
     (`poly_divexact`; InexactDivision otherwise), takes no gcd and keeps J_lam
     as the tables do (`_macdonald_laurent`); M_lam = J_lam / c_lam is filled in
-    on first request.  At a sample point it runs from c[lam] = 1: J_lam is M_lam.
+    on first request.  At a sample point it runs from c[lam] = 1 on the D^1
+    ints of `_dn_table` as they are, whose one denominator cancels in
+    total / gap: J_lam is M_lam.
     """
     symbolic = field.is_symbolic
 
     def build():
         d1 = {}
-        den = None if symbolic else _dn_denominator(degree, degree, field)
         for nu, column in _dn_table(degree, degree, 1, field):
             d1[nu] = _integral_d1(column, degree) if symbolic else {
-                mu: Fraction(-entry[1], den) for mu, entry in column.items() if entry[1]}
+                mu: entry[1] for mu, entry in column.items() if entry[1]}
             for mu in d1[nu]:
                 if not dominates(nu, mu):
                     raise SingularTransition("D^1 m_%r touches m_%r, outside the lower order ideal"

@@ -115,15 +115,13 @@ def apply_DN(f):
     multiplied into the coefficients of f over one denominator
     (`_apply_tables`), so an operand over monomial denominators takes no gcd.
     """
-    field = f.field
-    return _apply_tables(f, lambda degree: (_dn_matrices(degree, f.N, field),
-                                            0 if field.is_symbolic else families._dn_denominator(degree, f.N, field)))
+    return _apply_tables(f, _dn_matrices)
 
 
 def _dn_matrices(degree, N, field):
-    """[T_0, .., T_N] on the monomials of the degree with at most N parts,
-    T_s = {nu: {mu: c}} the u^s slice of D_N(u): the entries of
-    `families._dn_table` at N with the sign (-1)^s taken in and zeros dropped.
+    """([T_0, .., T_N], den, 0) on the monomials of the degree with at most N
+    parts, T_s = {nu: {mu: c}} the u^s coefficients of D_N(u): the entries of
+    `families._dn_table` at N with zeros dropped, over its denominator den.
 
     `_dn_table` is a stream that the A_k tables and the Macdonald build read
     once per degree; this memo keeps the one table each `apply_DN` sweep
@@ -134,11 +132,9 @@ def _dn_matrices(degree, N, field):
         for nu, column in families._dn_table(degree, N, N, field):
             for mu, entry in column.items():
                 for s, c in enumerate(entry):
-                    sign = -1 if s % 2 else 1
-                    c = {key: sign * n for key, n in c.items() if n} if field.is_symbolic else sign * c
                     if c:
                         out[s].setdefault(nu, {})[mu] = c
-        return out
+        return out, families._dn_denominator(degree, N, field), 0
 
     return _memo(("dn_table", degree, N, field), build)
 
@@ -147,12 +143,11 @@ def _apply_tables(f, tables):
     """[sum_nu c_nu T_s[nu] for s], c_nu the coefficients of f and T_s the
     integer tables of each degree, as NSymPolys in f.N variables.
 
-    tables(degree) gives ([T_0, T_1, ..], scale), T_s = {nu: {mu: e}}.  Over
-    Q(q,t) an entry e = {(a, i): n} stands for sum n q^(a + scale) t^-i; at a
-    sample point it is an int over the denominator scale.  The coefficients
-    of f are written over one denominator first (`_cleared`), the products
-    and sums are taken in integers (`_table_apply`), and each output entry is
-    lifted once.
+    tables(degree, N, field) gives ([T_0, T_1, ..], den, shift),
+    T_s = {nu: {mu: e}}, each entry e standing for q^shift times its value
+    over den (`_lift`).  The coefficients of f are written over one
+    denominator first (`_cleared`), the products and sums are taken in
+    integers (`_table_apply`), and each output entry is lifted once.
     """
     field = f.field
     vec, common = _cleared(f)
@@ -161,10 +156,10 @@ def _apply_tables(f, tables):
         by_degree.setdefault(sum(nu), {})[nu] = x
     out = [{} for _ in range(f.N + 1)]
     for degree, part in by_degree.items():
-        matrices, scale = tables(degree)
+        matrices, den, shift = tables(degree, f.N, field)
         for total, matrix in zip(out, matrices):
             for mu, entry in _table_apply(matrix, part, field).items():
-                total[mu] = _lift(entry, scale, field, common)
+                total[mu] = _lift(entry, den, field, shift, common)
     return [NSymPoly(f.N, total, field) for total in out]
 
 
@@ -220,51 +215,56 @@ def _table_apply(matrix, vec, field):
     return {row: poly for row, poly in out.items() if poly}
 
 
-def _lift(entry, scale, field, common=None):
-    # one integer entry over the field, as `_apply_tables` reads it, in one
-    # RatFun or one Fraction; common is a further denominator
-    if not field.is_symbolic:
-        return Fraction(entry, scale if common is None else scale * common)
-    value = families._laurent_lift(entry, scale)
-    return value if common is None else ratfun.RatFun(value.num, value.den * common)
+def _lift(entry, den, field, shift=0, common=None):
+    """One integer table entry over the field: q^shift times its value over
+    den, and over common when given.  Over Q(q,t) the entry is an integer
+    dict {(a, i): n} of sum n q^a t^-i, den is 1 and the lift is one RatFun
+    read off with no gcd; at a sample point it is an int and the lift one
+    Fraction.  An empty entry lifts to 0."""
+    if not entry:
+        return field.zero
+    if field.is_symbolic:
+        value = families._laurent_lift(entry, shift)
+        return value if common is None else ratfun.RatFun(value.num, value.den * common)
+    n, d = (field.q ** shift).as_integer_ratio()
+    return Fraction(entry * n, den * d * (common or 1))
 
 
 def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
-    """Exact e_0..e_N with num(v) / (u;1/t)_N = sum_k e_k / (u;1/t)_k, v = -u,
-    num a v-list of at most N + 1 values over den.
+    """(e, den): exact e_0..e_N with num(u) / (u;1/t)_N = sum_k e_k / (u;1/t)_k,
+    num the u-coefficients of at most N + 1 values over den.
 
     Over Q(q,t) the values and the e_k are integer dicts {(a, i): n}
-    (sum n q^a t^-i) and den is 1.  As num = e_N + (1 + v t^(1-N))
-    (e_(N-1) + ... (e_1 + (1 + v) e_0)), synthetic division by 1 + v t^-j,
+    (sum n q^a t^-i) and den is 1.  As num = e_N + (1 - u t^(1-N))
+    (e_(N-1) + ... (e_1 + (1 - u) e_0)), synthetic division by 1 - u t^-j,
     j = N-1 down to 0, leaves e_(j+1) as the remainder; each quotient
     coefficient is a difference times t^j.
 
-    At a sample point the values are ints and the e_k Fractions, from the
-    ints of `_split_at_point` over td^(N(N-1)) den.
+    At a sample point the e_k are the ints of `_split_at_point`, over
+    td^(N(N-1)) den.
     """
     if not field.is_symbolic:
-        scale = den * field.t.denominator ** (N * (N - 1))
-        return [Fraction(n, scale) for n in _split_at_point(num, N, field.t)]
+        return _split_at_point(num, N, field.t), den * field.t.denominator ** (N * (N - 1))
     num = list(num) + [{}] * (N + 1 - len(num))
     out = []
     for j in range(N - 1, -1, -1):
         quotient, carry = [], {}
         for poly in reversed(num[1:]):
-            carry = _shifted_difference(poly, carry, j)
+            carry = _shifted_difference(carry, poly, j)
             quotient.append(carry)
         out.append(_shifted_difference(num[0], carry, 0))
         num = quotient[::-1]
     if any(n for poly in num[1:] for n in poly.values()):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
     out.append(_shifted_difference(num[0], {}, 0))
-    return out[::-1]
+    return out[::-1], den
 
 
 def _split_at_point(num, N, t):
     """The e_k of `_split_pochhammer` at t = tn/td times td^(N(N-1)), ints for
-    an int v-list: with v = w / td^(N-1), 1 + v t^-j = (w + b_j) / b_j,
-    b_j = tn^j td^(N-1-j), each division is by the monic w + b_j in ints,
-    and e_k is its remainder times b_k .. b_(N-1)."""
+    int u-coefficients: with u = w / td^(N-1), 1 - u t^-j = (b_j - w) / b_j,
+    b_j = tn^j td^(N-1-j), each division is by the monic w - b_j in ints,
+    and e_k is its remainder times (-b_k) .. (-b_(N-1))."""
     if any(num[N + 1:]):
         raise NotDivisible("partial-fraction residue did not vanish: degree of num exceeds %d" % N)
     tn, td = t.numerator, t.denominator
@@ -274,10 +274,10 @@ def _split_at_point(num, N, t):
         b = tn ** j * td ** (N - 1 - j)
         quotient, carry = [], 0
         for n in reversed(w[1:]):
-            carry = n - b * carry
+            carry = n + b * carry
             quotient.append(carry)
-        out.append((w[0] - b * carry) * b_prod)
-        b_prod *= b
+        out.append((w[0] + b * carry) * b_prod)
+        b_prod *= -b
         w = quotient[::-1]
     out.append(w[0] * b_prod)
     return out[::-1]
@@ -295,9 +295,7 @@ def apply_AN(f):
     """Renormalised operator: q^(-deg), divide by (u;1/t)_N, re-expand.  The
     integer tables of `_A_matrices` at N multiplied into f as `apply_DN`
     multiplies its table (`_apply_tables`)."""
-    field = f.field
-    return UFamily(_apply_tables(f, lambda degree: (_A_matrices(degree, f.N, field), _A_scale(degree, f.N, field))),
-                   field)
+    return UFamily(_apply_tables(f, _A_matrices), f.field)
 
 
 # ---------------------------------------------------------------------------
@@ -324,22 +322,21 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    matrices = _A_matrices(degree, degree, field)
-    scale = _A_scale(degree, degree, field)
-    return {mu: {nu: _lift(e, scale, field) for nu, e in (matrices[k][mu] if k < len(matrices) else {}).items()}
+    matrices, den, shift = _A_matrices(degree, degree, field)
+    return {mu: {nu: _lift(e, den, field, shift) for nu, e in (matrices[k][mu] if k < len(matrices) else {}).items()}
             for mu in matrices[0]}
 
 
 def _A_matrices(degree, N, field):
-    """[A_0, .., A_N] on the m_mu of the degree with ell(mu) <= N, from
-    q^(-degree) D_N(u) m_mu / (u;1/t)_N = sum_k 1/(u;1/t)_k A_k m_mu.
+    """([A_0, .., A_N], den, -degree) on the m_mu of the degree with
+    ell(mu) <= N, from q^(-degree) D_N(u) m_mu / (u;1/t)_N =
+    sum_k 1/(u;1/t)_k A_k m_mu.
 
-    The partial fractions of the entries of `_dn_table`, one column at a
-    time; `_lift` reads an entry over the field.  Over Q(q,t) an entry is
-    its e_k, {(a, i): n} for sum n q^(a - degree) t^-i.  At a sample point it
-    is the int of `_split_at_point` over the table's one denominator
-    `_A_denominator`.  An entry above its column raises BadMatrixEntry; at a
-    point only an entry whose value does not vanish is seen.
+    The partial fractions (`_split_pochhammer`) of the entries of
+    `_dn_table`, one column at a time, over their one denominator den;
+    `_lift` reads an entry over the field.  An entry above its column raises
+    BadMatrixEntry; at a point only an entry whose value does not vanish is
+    seen.
     """
     def build():
         out = [{} for _ in range(N + 1)]
@@ -348,27 +345,17 @@ def _A_matrices(degree, N, field):
                 matrix[mu] = {}
             for nu, num in column.items():
                 inside = dominates(mu, nu)
-                split = _split_pochhammer(num, N) if field.is_symbolic else _split_at_point(num, N, field.t)
-                for k, e in enumerate(split):
+                for k, e in enumerate(_split_pochhammer(num, N, field)[0]):
                     if e:
                         if not inside:
                             raise BadMatrixEntry(
                                 "A_%d at degree %d: the entry at row %r, column %r lies outside the lower "
                                 "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
                         out[k][mu][nu] = e
-        return out
+        # den, that of every split of the table, read off the split of an empty entry
+        return out, _split_pochhammer((), N, field, families._dn_denominator(degree, N, field))[1], -degree
 
     return _memo(("A_table", degree, N, field), build)
-
-
-def _A_scale(degree, N, field):
-    # what an entry of `_A_matrices` stands for, as `_apply_tables` reads it
-    return -degree if field.is_symbolic else _A_denominator(degree, N, field)
-
-
-def _A_denominator(degree, N, field):
-    # the one denominator of `_A_matrices` at a point: td^(N(N-1)) q^degree `_dn_denominator`
-    return field.q.numerator ** degree * field.t.numerator ** (N * (N - 1) // 2) * field.t.denominator ** (N * (N - 1))
 
 
 def _hl_operator_sum(fp, k, top, x, y, bound, unit):
@@ -396,46 +383,41 @@ def _hl_sym(lam, kind, bound, field):
 
 def A_k_eigen(lam, field=SYMBOLIC):
     """The eigenvalue of the full family on M_lam,
-    prod_i (q^(-lam_i) - u t^(1-i)) / (u;1/t)_ell, as sum_k e_k / (u;1/t)_k.
-
-    The e_k are q^-|lam| times the exact partial fractions of
-    prod_i (1 + v q^(lam_i) t^(1-i)) in v = -u (`_eigen_split`).
-    """
+    prod_i (q^(-lam_i) - u t^(1-i)) / (u;1/t)_ell, as sum_k e_k / (u;1/t)_k:
+    the split of `_eigen_split` lifted with shift -|lam|."""
     lam = Partition(lam)
-    return UFamily(_in_field(_eigen_split(lam, field), field, -sum(lam)), field)
+    values, den = _eigen_split(lam, field)
+    return UFamily([_lift(e, den, field, -sum(lam)) for e in values], field)
 
 
 def _eigen_split(lam, field=SYMBOLIC):
-    # q^|lam| e_k(lam), the unit of the A_k tables: the partial fractions of
-    # prod_i (1 + v q^(lam_i) t^-i), i from 0 (`families._v_product`), as
-    # integer dicts {(a, i): n} of sum n q^a t^-i, or Fractions at a point
-    num, den = families._v_product(enumerate(lam), field)
+    """(values, den): q^|lam| e_k(lam), k = 0..ell, on the unit of the A_k
+    tables: the partial fractions (`_split_pochhammer`) of the
+    u-coefficients of prod_i (1 - u q^(lam_i) t^-i), i from 0
+    (`families._u_product`), over den."""
+    num, den = families._u_product(enumerate(lam), field)
     return _split_pochhammer(num, len(lam), field, den)
-
-
-def _in_field(values, field, shift):
-    # q^shift times the e_k of `_split_pochhammer`, as field elements
-    if field.is_symbolic:
-        return [families._laurent_lift(e, shift) for e in values]
-    return [e * field.q ** shift for e in values]
 
 
 def _A_k_equation(k, lam, field=SYMBOLIC):
     """A_k J_lam = e_k(lam) J_lam as (matrix, vec, scalar), the rows
     sum_col matrix[col][row] vec[col] = scalar vec[row]; A_k is 0 for k > |lam|,
-    e_k for k > ell.  Over Q(q,t): q^|lam| A_k, J_lam and q^|lam| e_k(lam)
-    (`_eigen_split`) as dicts {(a, i): n} of sum n q^a t^-i.  At a point:
-    A_k's ints, M_lam cleared of denominators, and the Fraction e_k(lam)
-    times `_A_denominator`."""
+    e_k for k > ell.  The table of `_A_matrices` and the split of
+    `_eigen_split` both carry q^-|lam|, which cancels.  Over Q(q,t): their
+    integer dicts {(a, i): n} of sum n q^a t^-i, and J_lam.  At a point:
+    A_k's ints, M_lam cleared of denominators, and e_k(lam) times the
+    tables' denominator, a Fraction."""
     degree = sum(lam)
-    matrix = _A_matrices(degree, degree, field)[k] if k <= degree else {}
-    e = _eigen_split(lam, field)[k] if len(lam) >= k else None
+    tables, den, _ = _A_matrices(degree, degree, field)
+    matrix = tables[k] if k < len(tables) else {}
+    # e_k vanishes for k > ell, and its split is not taken
+    values, e_den = _eigen_split(lam, field) if k <= len(lam) else ((), 1)
+    e = values[k] if k < len(values) else None
     if field.is_symbolic:
         return matrix, families._macdonald_laurent(lam), e or {}
     m = families._macdonald_integral(lam, field)
     clear = math.lcm(*(c.denominator for c in m.values()))
-    return matrix, {mu: c.numerator * (clear // c.denominator) for mu, c in m.items()}, \
-        (e or 0) * field.q ** -degree * _A_denominator(degree, degree, field)
+    return matrix, {mu: c.numerator * (clear // c.denominator) for mu, c in m.items()}, Fraction((e or 0) * den, e_den)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +473,13 @@ def step_series_apply(kind, k, f, degree_bound=None):
     return _hl_operator_sum(fp, k, fp.max_degree() - 1, ("P", False), ("Q", True), bound, tpow)
 
 
-def step_family_at(kind, f, u0, max_k=None):
+def step_family_at(kind, f, u0):
     """Evaluate the full raising/lowering series at a sample point u0."""
     field = f.field
     fp = convert(f, "p")
-    top = fp.max_degree() if max_k is None else max_k
     bound = fp.max_degree() + 1
     total = SymFun.zero("p", bound, field)
-    for k in range(top + 1):
+    for k in range(bound):
         piece = step_series_apply(kind, k, f, bound)
         if piece.is_zero():
             continue
@@ -517,10 +498,10 @@ def bc_matrix_coeff(kind, lam, mu, field=SYMBOLIC):
         if kind == "B":
             raise NotOneBoxUp("%r is not %r plus one box" % (tuple(lam), tuple(mu)))
         raise NotOneBoxDown("%r is not %r minus one box" % (tuple(mu), tuple(lam)))
-    num, den = families._v_product(((j, part) for j, part in enumerate(lam) if j != i - 1), field)
+    num, den = families._u_product(((j, part) for j, part in enumerate(lam) if j != i - 1), field)
+    values, den = _split_pochhammer(num, len(lam), field, den)
     scalar = _bc_scalar(kind, lam, mu, field) * field.t ** (1 - i)
-    entries = _in_field(_split_pochhammer(num, len(lam), field, den), field, lam[i - 1] - sum(lam))
-    return UFamily((e * scalar for e in entries), field)
+    return UFamily((_lift(e, den, field, lam[i - 1] - sum(lam)) * scalar for e in values), field)
 
 
 def _bc_scalar(kind, lam, mu, field):

@@ -538,13 +538,8 @@ def collect_symmetric(xp):
 
 
 def _descending_sign(e):
-    # sign of the permutation sorting e into descending order
-    inv = 0
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            if e[i] < e[j]:
-                inv += 1
-    return -1 if inv & 1 else 1
+    # sign of the permutation sorting e, of distinct entries, into descending order
+    return _perm_sign(sorted(range(len(e)), key=e.__getitem__, reverse=True))
 
 
 def _alternant_index(e):

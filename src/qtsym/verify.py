@@ -247,10 +247,10 @@ def check_deigen(N, lam, field=SYMBOLIC):
     power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0).
     Both sides go through `macops._apply_tables`: the left is
     `macops.apply_DN`, the right the diagonal table of the product's
-    v-coefficients (`families._v_product`, v = -u), so each is an integer
-    product lifted once per entry.  Over Q(q,t) the check is exact and,
-    J_lam lying in Z[q,t], takes no gcd; a sample point certifies only
-    itself.  At N = |lam| the u^1 term applies the D^1 slice of the table
+    u-coefficients over their denominator (`families._u_product`), so each
+    is an integer product lifted once per entry.  Over Q(q,t) the check is
+    exact and, J_lam lying in Z[q,t], takes no gcd; a sample point
+    certifies only itself.  At N = |lam| the u^1 term applies the D^1 slice of the table
     (`families._dn_table`) that J_lam was solved from, so it cannot fail
     there; that table's independent oracle is the explicit alternant of the
     tests (`tests/test_macops.py::_apply_DN_reference`)."""
@@ -260,14 +260,10 @@ def check_deigen(N, lam, field=SYMBOLIC):
     f = restrict(SymFun("m", dict(families._macdonald_integral(lam, field)), sum(lam), field), N)
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
-    # prod_i (1 + v q^(lam_i) t^(1-i)); its v^k coefficient times (-1)^k is the u^k one
-    v, den = families._v_product(enumerate(padded), field)
-    diagonal = []
-    for k, c in enumerate(v):
-        if k % 2:
-            c = {key: -n for key, n in c.items()} if field.is_symbolic else -c
-        diagonal.append({nu: {nu: c} for nu in f.coeffs})
-    expect = macops._apply_tables(f, lambda degree: (diagonal, 0 if field.is_symbolic else den))
+    # prod_i (1 - u q^(lam_i) t^(1-i)), i from 1
+    product, den = families._u_product(enumerate(padded), field)
+    diagonal = [{nu: {nu: c} for nu in f.coeffs} for c in product]
+    expect = macops._apply_tables(f, lambda *_: (diagonal, den, 0))
     for k in range(N + 1):
         if coeffs[k] != expect[k]:
             return _finish("deigen", params, t0, False, "u-power %d differs" % k)
@@ -305,17 +301,15 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     A_k and A_l are the eigenvalues e_k and e_l.
 
     Both read the integer tables of `macops._A_matrices` at N = degree.
-    Over Q(q,t) the columns of A_k A_l and A_l A_k are products of integer
-    dicts, both over q^(2 degree), and a diagonal entry of q^degree A_j is
-    compared with the split q^degree e_j of `macops._eigen_split`, as
-    `macops._A_k_equation` does.  At a sample point the products are ints
-    over the square of the tables' denominator, and a diagonal entry over
-    it, times q^degree, is compared with that split."""
+    The columns of A_k A_l and A_l A_k are products of integer entries,
+    both over the square of the tables' unit (den, shift).  A diagonal
+    entry of A_j and the split e_j of `macops._eigen_split` both carry
+    q^-degree; each is lifted with its own denominator (`macops._lift`)
+    and the two are compared."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
-    tables = macops._A_matrices(degree, degree, field)
+    tables, den, shift = macops._A_matrices(degree, degree, field)
     a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
-    den = 1 if field.is_symbolic else macops._A_denominator(degree, degree, field)
     for mu in enumerate_partitions(degree):
         kl = macops._table_apply(a[k], a[l].get(mu, {}), field)
         lk = macops._table_apply(a[l], a[k].get(mu, {}), field)
@@ -323,16 +317,11 @@ def check_commute(k, l, degree, field=SYMBOLIC):
         if nu is not None:
             return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
                            % (k, l, degree, format_partition(nu), format_partition(mu)))
-        eigen = macops._eigen_split(mu, field)
+        eigen, e_den = macops._eigen_split(mu, field)
         for j in (k, l):
             # e_j vanishes for j > ell(mu)
             e = eigen[j] if j < len(eigen) else None
-            entry = a[j].get(mu, {}).get(mu)
-            if field.is_symbolic:
-                ok = (entry or {}) == (e or {})
-            else:
-                ok = Fraction(entry or 0, den) * field.q ** degree == (e or 0)
-            if not ok:
+            if macops._lift(a[j].get(mu, {}).get(mu), den, field, shift) != macops._lift(e, e_den, field, shift):
                 return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
                                % (j, degree, format_partition(mu), format_partition(mu)))
     return _finish("commute", params, t0, True)

@@ -5,7 +5,7 @@ import pytest
 
 from qtsym.cli import main, parse_expression, render_plain
 from qtsym.partitions import Partition, enumerate_partitions
-from qtsym import symfun
+from qtsym import families, macops, symfun, verify
 from qtsym.ratfun import SYMBOLIC, IntPoly2, ParseError, RatFun, parse_ratfun, random_point
 from qtsym.symfun import BASES, SymFun, convert
 
@@ -69,6 +69,35 @@ def test_expand_deterministic(capsys):
     assert first == second
 
 
+def test_expand_monomial_and_powersum(capsys):
+    code, out, _ = run_cli(capsys, "expand", "--family", "monomial", "--partition", "2,1", "--to", "p")
+    assert (code, out.strip()) == (0, "-p[3] + p[2,1]")
+    code, out, _ = run_cli(capsys, "expand", "--family", "powersum", "--partition", "2,1", "--to", "m")
+    assert (code, out.strip()) == (0, "m[3] + m[2,1]")
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("built before the output basis was checked")
+
+
+def test_expand_refuses_an_unknown_basis_first(capsys, monkeypatch):
+    # exit 2 with the usage message, and the family is never built
+    monkeypatch.setattr(families, "macdonald_M", _refuse)
+    argv = ("expand", "--family", "macdonald", "--partition", "2,1", "--to", "z")
+    assert run_cli(capsys, *argv) == (2, "", "error: unknown basis 'z'\n")
+
+
+def test_apply_refuses_an_unknown_basis_first(capsys, monkeypatch):
+    # exit 2 with the usage message, in every output format, and the
+    # operator is never applied
+    monkeypatch.setattr(macops, "A_k_apply", _refuse)
+    monkeypatch.setattr(macops, "apply_DN", _refuse)
+    for argv in (("--op", "A", "--k", "1", "--to-expr", "p[1]"),
+                 ("--op", "DN", "--N", "2", "--to-expr", "p[1]"),
+                 ("--op", "DN", "--N", "2", "--to-expr", "p[1]", "--format", "json")):
+        assert run_cli(capsys, "apply", *argv, "--to", "z") == (2, "", "error: unknown basis 'z'\n"), argv
+
+
 def test_apply_A(capsys):
     code, out, _ = run_cli(capsys, "apply", "--op", "A", "--k", "1", "--to-expr", "p[1]")
     assert code == 0
@@ -98,6 +127,15 @@ def test_apply_DN(capsys):
         "u^0: 1 + m[1] + m[2,1], u^1: (-1-t)/t + ((-1-q*t)/t)*m[1] + ((-q-q^2*t)/t)*m[2,1], "
         "u^2: 1/t + (q/t)*m[1] + (q^3/t)*m[2,1]"
     )
+    # the same u-powers as JSON, term by term
+    code, out, _ = run_cli(capsys, "apply", "--op", "DN", "--N", "2", "--to-expr", "m[2,1]+m[1]+1",
+                           "--format", "json")
+    assert code == 0
+    powers = [["1", "1", "1"], ["(-1-t)/t", "(-1-q*t)/t", "(-q-q^2*t)/t"], ["1/t", "q/t", "q^3/t"]]
+    assert json.loads(out) == {"u_powers": [
+        {"basis": "m", "degree_bound": 3,
+         "terms": [{"coeff": c, "partition": lam} for c, lam in zip(coeffs, ([], [1], [2, 1]))]}
+        for coeffs in powers]}
 
 
 def test_apply_B_raises_degree(capsys):
@@ -161,6 +199,25 @@ def test_exit_code_negative_alphabet_size(capsys):
 def test_exit_code_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "nonsense")
     assert code == 2
+
+
+def test_verify_exits_1_naming_the_failed_check(capsys, monkeypatch):
+    # one check made to fail: exit 1, its witness on its line, and the
+    # summary counts it
+    real = verify.check_hl_cauchy
+
+    def planted(degree, field=SYMBOLIC):
+        report = real(degree, field)
+        if degree == 2:
+            report.status, report.witness = "fail", "planted witness"
+        return report
+
+    monkeypatch.setattr(verify, "check_hl_cauchy", planted)
+    code, out, _ = run_cli(capsys, "verify", "hl-cauchy", "--max-degree", "2")
+    lines = [json.loads(line) for line in out.strip().split("\n")]
+    assert code == 1
+    assert [(r["status"], r["witness"]) for r in lines[:-1]] == [("pass", None), ("fail", "planted witness")]
+    assert (lines[-1]["summary"]["pass"], lines[-1]["summary"]["fail"]) == (1, 1)
 
 
 def test_verify_small_suite(capsys):

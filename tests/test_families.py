@@ -313,8 +313,8 @@ def test_macdonald_matches_gram_schmidt_at_sample_points():
 def _d1_solve_reference(degree, field):
     # the former library build: the D^1 slice lifted to the field, solved
     # from c[lam] = 1 with a field division (a reduced RatFun) at every step
-    scale = 0 if field.is_symbolic else families._dn_denominator(degree, degree, field)
-    d1 = {nu: {mu: -macops._lift(entry[1], scale, field) for mu, entry in column.items() if entry[1]}
+    den = families._dn_denominator(degree, degree, field)
+    d1 = {nu: {mu: macops._lift(entry[1], den, field) for mu, entry in column.items() if entry[1]}
           for nu, column in families._dn_table(degree, degree, 1, field)}
     order = sorted(d1, key=grevlex_key)
     out = {}
@@ -436,7 +436,7 @@ def test_d1_table_diagonal_and_support():
         assert list(table) == enumerate_partitions(d)
         for nu, column in table.items():
             padded = tuple(nu) + (0,) * (d - len(nu))
-            assert column.get(nu, {}) == {(a, i): 1 for i, a in enumerate(padded)}, nu
+            assert column.get(nu, {}) == {(a, i): -1 for i, a in enumerate(padded)}, nu
             for mu in column:
                 assert dominates(nu, mu), (nu, mu)
 
@@ -603,9 +603,9 @@ def test_laurent_lift_is_the_reduced_fraction():
         assert families._laurent_lift(entry, shift) == expected, (entry, shift)
 
 
-def test_v_product_expands_the_linear_factors():
-    # prod (1 + v q^a t^-i) over random pairs (i, a), the empty list among
-    # them, against its RatFun expansion one factor at a time, through v^top
+def test_u_product_expands_the_linear_factors():
+    # prod (1 - u q^a t^-i) over random pairs (i, a), the empty list among
+    # them, against its RatFun expansion one factor at a time, through u^top
     # for top = 0, 1, one below the length and None (the whole product); at
     # a seeded sample point the ints over den, the product of the qd^a tn^i,
     # are the symbolic entries evaluated there
@@ -616,15 +616,15 @@ def test_v_product_expands_the_linear_factors():
         factors = [(rng.randint(0, 5), rng.randint(0, 4)) for _ in range(trial % 6)]
         expansion = [F.one]
         for i, a in factors:
-            m = F.q ** a * F.t ** (-i)
+            m = -F.q ** a * F.t ** (-i)
             expansion = [x + m * y for x, y in zip(expansion + [F.zero], [F.zero] + expansion)]
         den = 1
         for i, a in factors:
             den *= qd ** a * tn ** i
         for top in (0, 1, max(len(factors) - 1, 0), None):
             want = expansion if top is None else (expansion + [F.zero] * top)[:top + 1]
-            entries, one = families._v_product(iter(factors), F, top)
+            entries, one = families._u_product(iter(factors), F, top)
             assert (one, [families._laurent_lift(e) for e in entries]) == (1, want), (factors, top)
-            ints, got_den = families._v_product(iter(factors), point, top)
+            ints, got_den = families._u_product(iter(factors), point, top)
             assert got_den == den, (factors, top)
             assert [Fraction(n, den) for n in ints] == [c.evaluate(point.q, point.t) for c in want], (factors, top)

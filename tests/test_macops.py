@@ -165,13 +165,13 @@ def test_dn_table_matches_explicit_alternant():
 
 def _dn_slices(column, degree, N, field):
     # one `_dn_table` column over the field as its u^s slices {mu: c}: each
-    # entry lifted by `macops._lift`, with the sign (-1)^s the table leaves out
-    scale = 0 if field.is_symbolic else families._dn_denominator(degree, N, field)
+    # entry lifted by `macops._lift`
+    den = families._dn_denominator(degree, N, field)
     out = [{} for _ in next(iter(column.values()))]
     for mu, entry in column.items():
         for s, c in enumerate(entry):
             if c:
-                out[s][mu] = -macops._lift(c, scale, field) if s % 2 else macops._lift(c, scale, field)
+                out[s][mu] = macops._lift(c, den, field)
     return out
 
 
@@ -429,16 +429,18 @@ def test_evaluation_at_a_pole_raises():
 
 
 def test_partial_fractions_refuse_a_surviving_residue():
-    # over (u;1/t)_N a numerator of v-degree N splits exactly; one of degree
-    # N + 1 leaves a residue
-    for N in range(4):
-        assert len(macops._split_pochhammer([{(k, k): 1} for k in range(N + 1)], N)) == N + 1
-        with pytest.raises(NotDivisible, match="degree of num exceeds %d" % N):
-            macops._split_pochhammer([{(k, k): 1} for k in range(N + 2)], N)
+    # over (u;1/t)_N a numerator of u-degree N splits exactly; one of degree
+    # N + 1 leaves a residue, over Q(q,t) and in ints at a sample point
+    point = random_point(random.Random(20261024))
+    for field, coefficient in ((F, lambda k: {(k, k): 1}), (point, lambda k: k + 1)):
+        for N in range(4):
+            assert len(macops._split_pochhammer([coefficient(k) for k in range(N + 1)], N, field)[0]) == N + 1
+            with pytest.raises(NotDivisible, match="degree of num exceeds %d" % N):
+                macops._split_pochhammer([coefficient(k) for k in range(N + 2)], N, field)
 
 
 def _times_tails(es, N):
-    # sum_k e_k prod_(j=k)^(N-1) (1 + v t^-j) as {(s, a, i): n}: n v^s q^a t^-i
+    # sum_k e_k prod_(j=k)^(N-1) (1 - u t^-j) as {(s, a, i): n}: n u^s q^a t^-i
     total = {}
     for k, e in enumerate(es):
         poly = {(0, a, i): n for (a, i), n in e.items()}
@@ -446,7 +448,7 @@ def _times_tails(es, N):
             grown = {}
             for (s, a, i), n in poly.items():
                 grown[s, a, i] = grown.get((s, a, i), 0) + n
-                grown[s + 1, a, i + j] = grown.get((s + 1, a, i + j), 0) + n
+                grown[s + 1, a, i + j] = grown.get((s + 1, a, i + j), 0) - n
             poly = grown
         for key, n in poly.items():
             total[key] = total.get(key, 0) + n
@@ -461,7 +463,7 @@ def test_partial_fractions_multiply_back_to_every_dn_numerator():
             for _, column in families._dn_table(d, N, N):
                 for num in column.values():
                     expect = {(s, a, i): n for s, poly in enumerate(num) for (a, i), n in poly.items()}
-                    es = macops._split_pochhammer(num, N)
+                    es = macops._split_pochhammer(num, N)[0]
                     assert len(es) == N + 1 and all(all(es_k.values()) for es_k in es)
                     assert _times_tails(es, N) == expect
 
@@ -470,10 +472,11 @@ def _evaluated(value, point):
     return value.evaluate(point.q, point.t)
 
 
-def _lifted(column, degree, N, field):
-    # a column of `_A_matrices(degree, N, field)` over the field
-    scale = macops._A_scale(degree, N, field)
-    return {nu: macops._lift(e, scale, field) for nu, e in column.items()}
+def _lifted(tables, field):
+    # the tables, den and shift of `_A_matrices` as matrices over the field
+    matrices, den, shift = tables
+    return [{mu: {nu: macops._lift(e, den, field, shift) for nu, e in column.items()} for mu, column in matrix.items()}
+            for matrix in matrices]
 
 
 def test_point_tables_equal_the_symbolic_tables_evaluated():
@@ -494,10 +497,9 @@ def test_point_tables_equal_the_symbolic_tables_evaluated():
                     expected = [{mu: _evaluated(c, point) for mu, c in piece.items()}
                                 for piece in _dn_slices(symbolic[nu], d, N, F)]
                     assert _dn_slices(column, d, N, point) == expected, (d, N, nu)
-                tables = [{mu: _lifted(column, d, N, point) for mu, column in matrix.items()}
-                          for matrix in macops._A_matrices(d, N, point)]
-                for k, matrix in enumerate(macops._A_matrices(d, N, F)):
-                    expected = {mu: {nu: _evaluated(c, point) for nu, c in _lifted(column, d, N, F).items()}
+                tables = _lifted(macops._A_matrices(d, N, point), point)
+                for k, matrix in enumerate(_lifted(macops._A_matrices(d, N, F), F)):
+                    expected = {mu: {nu: _evaluated(c, point) for nu, c in column.items()}
                                 for mu, column in matrix.items()}
                     assert tables[k] == expected, (d, N, k)
             for lam in partitions_up_to(7):

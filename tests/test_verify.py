@@ -116,10 +116,11 @@ def _perturb(monkeypatch, k, degree, change, at=F):
         tables = real(d, N, field)
         if (d, N, field) != (degree, degree, at):
             return tables
-        tables = list(tables)
-        tables[k] = {mu: dict(column) for mu, column in tables[k].items()}
-        change(tables[k])
-        return tables
+        matrices, den, shift = tables
+        matrices = list(matrices)
+        matrices[k] = {mu: dict(column) for mu, column in matrices[k].items()}
+        change(matrices[k])
+        return matrices, den, shift
 
     monkeypatch.setattr(macops, "_A_matrices", perturbed)
 
@@ -313,18 +314,20 @@ def test_point_theorem_check_names_the_witness_of_the_fraction_route(monkeypatch
         symfun.clear_field_caches(point)
 
 
-@pytest.mark.parametrize("change", [lambda e: e + 1, lambda e: e / 1000003], ids=["plus-one", "over-a-prime"])
+@pytest.mark.parametrize("change", [lambda ints, den: ([n + den for n in ints], den),
+                                    lambda ints, den: (ints, den * 1000003)], ids=["plus-one", "over-a-prime"])
 def test_point_theorem_check_refuses_a_wrong_eigenvalue(monkeypatch, change):
     # e_k(lam) + 1, or e_k(lam) / p with p prime to every denominator, at a
-    # sample point: every row where M_lam has a coefficient differs, so the
-    # witness is the least monomial of M_lam.  Over a prime, e_k(lam) times
-    # the table's denominator keeps its numerator and gains the denominator
-    # p, which only the cross-multiplication sees
+    # sample point, on the ints over den of the split: every row where
+    # M_lam has a coefficient differs, so the witness is the least monomial
+    # of M_lam.  Over a prime, e_k(lam) times the table's denominator keeps
+    # its numerator and gains the denominator p, which only the
+    # cross-multiplication sees
     point = random_point(random.Random(1920))
     real = macops._eigen_split
 
     def wrong(lam, field=F):
-        return [change(e) for e in real(lam, field)]
+        return change(*real(lam, field))
 
     monkeypatch.setattr(macops, "_eigen_split", wrong)
     try:
@@ -386,9 +389,9 @@ def test_commute_failure_on_the_diagonal(monkeypatch):
 def test_commute_failures_at_a_point_name_the_symbolic_witnesses(monkeypatch):
     # the entries of the two perturbations above at a sample point, ints
     # over the table's denominator den: one unit more at row m[1,1,1],
-    # column m[2,1], and den more (A_1 + 1) on every diagonal
+    # column m[2,1], and den more (A_1 + q^-3) on every diagonal
     point = random_point(random.Random(20261023))
-    den = macops._A_denominator(3, 3, point)
+    _, den, _ = macops._A_matrices(3, 3, point)
 
     def add(matrix, row, column, n):
         entry = matrix[column].get(row, 0) + n
@@ -572,6 +575,27 @@ def test_decomposition_examples():
     assert check_decomposition(P(2), 2, 2).passed()
     assert check_decomposition(P(), 1, 1).passed()
     assert check_decomposition(P(2, 1), 3, 2).passed()
+
+
+def test_decomposition_sweep_passes():
+    reports = list(run_suite("decomposition", {"N": 2, "max_weight": 2}))
+    assert all(r.passed() and r.witness is None for r in reports), [r.witness for r in reports]
+    cases = [((), 1, 1), ((1,), 1, 1), ((2,), 1, 1), ((), 2, 1), ((), 2, 2), ((1,), 2, 1), ((1,), 2, 2),
+             ((2,), 2, 1), ((2,), 2, 2), ((1, 1), 2, 1), ((1, 1), 2, 2)]
+    assert [r.parameters for r in reports] == [{"lam": P(*lam), "N": N, "i": i} for lam, N, i in cases]
+
+
+def test_run_suite_all_runs_every_suite_in_order():
+    # a config under which every suite makes at least one check
+    config = {"max_degree": 1, "max_k": 2, "degree": 1, "max_weight": 1, "N": 2}
+    expected = []
+    for key in verify.SUITES:
+        own = [(r.name, r.parameters) for r in run_suite(key, config)]
+        assert own, key
+        expected += own
+    reports = list(run_suite("all", config))
+    assert [(r.name, r.parameters) for r in reports] == expected
+    assert all(r.passed() for r in reports), [r.witness for r in reports if not r.passed()]
 
 
 def test_run_suite_kernel_and_reports():
