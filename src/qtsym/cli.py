@@ -262,6 +262,8 @@ def cmd_verify(args):
     config = _verify_config(args)
     if args.points < 1:
         raise CliError("--points must be at least 1", PRECONDITION_ERROR)
+    if args.mode != "numeric" and args.seed is not None:
+        raise CliError("--seed requires --mode numeric", PRECONDITION_ERROR)
     if args.mode == "numeric":
         if args.seed is None:
             raise CliError("numeric mode requires --seed", PRECONDITION_ERROR)

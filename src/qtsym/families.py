@@ -12,6 +12,7 @@ Polynomials, Ch. III, and Ch. VI §8 for J_lam).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -278,17 +279,25 @@ def _dn_denominator(degree, N, field):
     return field.q.denominator ** degree * field.t.numerator ** (N * (N - 1) // 2)
 
 
-def _laurent_lift(entry, shift=0):
-    """The integer dict {(a, i): n} as sum n q^(a + shift) t^-i in Q(q,t): a
-    reduced fraction over a monomial, read off in one pass with no gcd."""
+def _lift(entry, den, field, shift=0, common=None):
+    """One integer table entry over the field, q^shift times its value over
+    den (and over common when given): at a sample point an int lifted to a
+    Fraction; over Q(q,t) an integer dict {(a, i): n} of sum n q^a t^-i,
+    den = 1, lifted over a monomial with no gcd unless common is given."""
+    if not entry:
+        return field.zero
+    if not field.is_symbolic:
+        n, d = (field.q ** shift).as_integer_ratio()
+        return Fraction(entry * n, den * d * (common or 1))
     entry = {key: n for key, n in entry.items() if n}
     if not entry:
-        return SYMBOLIC.zero
+        return field.zero
     # reduced over q^-low t^high: a term lacks q if low < 0, one lacks t if high > 0
     low = min(0, min(a for a, _ in entry) + shift)
     high = max(0, max(i for _, i in entry))
     num = IntPoly2({(a + shift - low, high - i): n for (a, i), n in entry.items()})
-    return RatFun(num, IntPoly2({(-low, high): 1}), _reduced=True)
+    monomial = IntPoly2({(-low, high): 1})
+    return RatFun(num, monomial, _reduced=True) if common is None else RatFun(num, monomial * common)
 
 
 def _integral_factor(lam):
@@ -313,18 +322,18 @@ def _integral_d1(column, degree):
 
 def _macdonald_degree(degree, field):
     """({lam: J_lam}, {lam: M_lam}) on monomials: M_lam = sum_mu c[mu] m_mu,
-    the eigenvectors of D^1, and J_lam = c_lam M_lam, with c_lam = `_integral_factor`.
+    the eigenvectors of D^1, and J_lam a multiple in integer entries as the
+    tables hold them.  M_lam is filled in on first request (`macdonald_in_m`).
 
     D^1 is triangular on monomials with diagonal d, so
     c[mu] (d_lam - d_mu) = sum over mu < nu <= lam of c[nu] D^1_(mu,nu),
     solved for mu in descending dominance.  Symbolically the solve runs on
-    t^(degree-1) D^1, in Z[q,t], from c[lam] = c_lam: J_lam lies in Z[q,t]
-    (Macdonald, Ch. VI §8), so each division by the gap is exact
-    (`poly_divexact`; InexactDivision otherwise), takes no gcd and keeps J_lam
-    as the tables do (`_macdonald_laurent`); M_lam = J_lam / c_lam is filled in
-    on first request.  At a sample point it runs from c[lam] = 1 on the D^1
-    ints of `_dn_table` as they are, whose one denominator cancels in
-    total / gap: J_lam is M_lam.
+    t^(degree-1) D^1, in Z[q,t], from c[lam] = c_lam: J_lam = c_lam M_lam
+    lies in Z[q,t] (Macdonald, Ch. VI §8), so each division by the gap is
+    exact (`poly_divexact`; InexactDivision otherwise) and takes no gcd.  At
+    a sample point it runs from c[lam] = 1 on the D^1 ints of `_dn_table`,
+    whose one denominator cancels in total / gap, and J_lam is M_lam
+    cleared of denominators.
     """
     symbolic = field.is_symbolic
 
@@ -354,28 +363,24 @@ def _macdonald_degree(degree, field):
                         total = total + c * entry
                 if total:
                     vec[mu] = poly_divexact(total, gap) if symbolic else total / gap
-            integral[lam] = {mu: {(a, -b): n for (a, b), n in c.terms.items()} for mu, c in vec.items()} \
-                if symbolic else vec
-        return integral, {} if symbolic else integral
+            if symbolic:
+                integral[lam] = {mu: {(a, -b): n for (a, b), n in c.terms.items()} for mu, c in vec.items()}
+            else:
+                clear = math.lcm(*(c.denominator for c in vec.values()))
+                integral[lam] = {mu: c.numerator * (clear // c.denominator) for mu, c in vec.items()}
+        return integral, {}
 
     return _memo(("macdonald", degree, field), build)
 
 
 def _macdonald_integral(lam, field=SYMBOLIC):
-    """J_lam = c_lam M_lam on monomials over the field (M_lam at a sample point)."""
-    if not field.is_symbolic:
-        return _macdonald_degree(sum(lam), field)[0][Partition(lam)]
-    return {mu: _laurent_lift(c) for mu, c in _macdonald_laurent(lam).items()}
-
-
-def _macdonald_laurent(lam):
-    """J_lam in Z[q,t] as the operator tables hold it: {mu: {(a, i): n}}, sum n q^a t^-i."""
-    return _macdonald_degree(sum(lam), SYMBOLIC)[0][Partition(lam)]
+    """J_lam of `_macdonald_degree` over the field."""
+    return {mu: _lift(c, 1, field) for mu, c in _macdonald_degree(sum(lam), field)[0][Partition(lam)].items()}
 
 
 def macdonald_in_m(lam, field=SYMBOLIC):
     lam = Partition(lam)
-    integral, monic = _macdonald_degree(sum(lam), field)
+    monic = _macdonald_degree(sum(lam), field)[1]
     if lam not in monic:
         j = _macdonald_integral(lam, field)
         monic[lam] = {mu: c / j[lam] for mu, c in j.items()}

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .partitions import (
     Partition,
@@ -28,6 +27,7 @@ from .partitions import (
 )
 from .ratfun import SYMBOLIC, IntPoly2
 from . import families, ratfun
+from .families import _lift
 from .symfun import (
     NotDivisible,
     NSymPoly,
@@ -197,12 +197,9 @@ def _cleared(f):
 def _table_apply(matrix, vec, field):
     """{row: sum over col of matrix[col][row] vec[col]}, zeros dropped: over
     Q(q,t) products of integer dicts {(a, i): n}, at a point of ints."""
-    out = {}
     if not field.is_symbolic:
-        for col, x in vec.items():
-            for row, e in matrix.get(col, {}).items():
-                out[row] = out.get(row, 0) + e * x
-        return {row: n for row, n in out.items() if n}
+        return {row: n for row, n in ratfun._row_sums(matrix, vec).items() if n}
+    out = {}
     for col, x in vec.items():
         terms = x.items()
         for row, e in matrix.get(col, {}).items():
@@ -213,21 +210,6 @@ def _table_apply(matrix, vec, field):
                     target[key] = target.get(key, 0) + n * m
     out = {row: {key: n for key, n in poly.items() if n} for row, poly in out.items()}
     return {row: poly for row, poly in out.items() if poly}
-
-
-def _lift(entry, den, field, shift=0, common=None):
-    """One integer table entry over the field: q^shift times its value over
-    den, and over common when given.  Over Q(q,t) the entry is an integer
-    dict {(a, i): n} of sum n q^a t^-i, den is 1 and the lift is one RatFun
-    read off with no gcd; at a sample point it is an int and the lift one
-    Fraction.  An empty entry lifts to 0."""
-    if not entry:
-        return field.zero
-    if field.is_symbolic:
-        value = families._laurent_lift(entry, shift)
-        return value if common is None else ratfun.RatFun(value.num, value.den * common)
-    n, d = (field.q ** shift).as_integer_ratio()
-    return Fraction(entry * n, den * d * (common or 1))
 
 
 def _split_pochhammer(num, N, field=SYMBOLIC, den=1):
@@ -400,24 +382,18 @@ def _eigen_split(lam, field=SYMBOLIC):
 
 
 def _A_k_equation(k, lam, field=SYMBOLIC):
-    """A_k J_lam = e_k(lam) J_lam as (matrix, vec, scalar), the rows
-    sum_col matrix[col][row] vec[col] = scalar vec[row]; A_k is 0 for k > |lam|,
-    e_k for k > ell.  The table of `_A_matrices` and the split of
-    `_eigen_split` both carry q^-|lam|, which cancels.  Over Q(q,t): their
-    integer dicts {(a, i): n} of sum n q^a t^-i, and J_lam.  At a point:
-    A_k's ints, M_lam cleared of denominators, and e_k(lam) times the
-    tables' denominator, a Fraction."""
+    """A_k J_lam = e_k(lam) J_lam as the two sides (A_k, J_lam, e_den) and
+    (diag e_k, J_lam, den) of `ratfun.first_unequal_row`, J_lam as
+    `families._macdonald_degree` holds it.  The table of `_A_matrices` is
+    over den and the split of `_eigen_split` over e_den; both carry
+    q^-|lam|, which cancels.  A_k is 0 for k > |lam|, e_k for k > ell."""
     degree = sum(lam)
     tables, den, _ = _A_matrices(degree, degree, field)
-    matrix = tables[k] if k < len(tables) else {}
+    j = families._macdonald_degree(degree, field)[0][lam]
     # e_k vanishes for k > ell, and its split is not taken
     values, e_den = _eigen_split(lam, field) if k <= len(lam) else ((), 1)
-    e = values[k] if k < len(values) else None
-    if field.is_symbolic:
-        return matrix, families._macdonald_laurent(lam), e or {}
-    m = families._macdonald_integral(lam, field)
-    clear = math.lcm(*(c.denominator for c in m.values()))
-    return matrix, {mu: c.numerator * (clear // c.denominator) for mu, c in m.items()}, Fraction((e or 0) * den, e_den)
+    diagonal = {mu: {mu: values[k]} for mu in j} if values else {}
+    return (tables[k] if k < len(tables) else {}, j, e_den), (diagonal, j, den)
 
 
 # ---------------------------------------------------------------------------

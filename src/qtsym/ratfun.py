@@ -531,39 +531,58 @@ def poly_divexact(a, b):
     return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
-def first_unequal_row(matrix, vec, scalar):
-    """The first row, in sorted order, where sum_col matrix[col][row] vec[col]
-    and scalar vec[row] differ, or None, over Laurent dicts {(a, b): n} of
-    sum n x^a y^b.  The operator tables pass sum n q^a t^-b
-    (`macops._A_k_equation`); the packing holds under that reading as
-    under y = t, since t -> 1/t only renames the second variable.  Each
-    side is one int under the Kronecker ring map
-    x^a y^b -> 2^(B (a - a0 + W (b - b0))) (Harvey, arXiv:0712.4046): W exceeds
-    each product's x-span and 2^B each coefficient of the row's difference
-    (`_packing`), so the packed difference is 0 only if the row's is."""
-    rows, width, span, left, right = _packing(matrix, vec, scalar)
-    packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
-    scalar = _pack(scalar, width, span, left)
-    return next((row for row in sorted(rows) if scalar * packed.get(row, 0) != sum(
-        _pack(entry, width, span, left) * packed[col] for entry, col in rows[row])), None)
+def first_unequal_row(left, right):
+    """The first row, in sorted order, where two sides differ, or None.  A
+    side (matrix, vec, n) stands for n sum_col matrix[col][row] vec[col].
+
+    At a sample point the entries and the values of vec are ints, summed as
+    they are.  Over Q(q,t) they are Laurent dicts {(a, b): n} of
+    sum n x^a y^b, or of sum n q^a t^-b as the operator tables hold them:
+    t -> 1/t only renames the second variable.  Each side of a row is then
+    one int under the Kronecker ring map x^a y^b -> 2^(B (a - a0 + W (b - b0)))
+    (Harvey, arXiv:0712.4046), each distinct entry and vec packed once: W
+    exceeds each product's x-span and 2^B each coefficient of the row's
+    difference (`_layout`), so the packed difference is 0 only if the row's is."""
+    sides, packed = (left, right), None
+    if not isinstance(next((x for _, vec, _ in sides for x in vec.values()), 0), int):
+        entries, vecs, width, span, offset, vec_offset = _layout(sides)
+        packed = {key: _pack(e, width, span, offset) for key, e in entries.items()}
+        vecs = {key: {col: _pack(x, width, span, vec_offset) for col, x in vec.items()} for key, vec in vecs.items()}
+        sides = [(matrix, vecs[id(vec)], n) for matrix, vec, n in sides]
+    (m, lhs), (n, rhs) = ((n, _row_sums(matrix, vec, packed)) for matrix, vec, n in sides)
+    return next((row for row in sorted(lhs.keys() | rhs.keys()) if m * lhs.get(row, 0) != n * rhs.get(row, 0)), None)
 
 
-def _packing(matrix, vec, scalar):
-    # rows either side reaches, each with its (entry, col) pairs; B; W; offsets
-    rows = {row: [] for row in vec} if scalar else {}
-    for col, entries in matrix.items():
-        for row, entry in entries.items() if col in vec else ():
-            rows.setdefault(row, []).append((entry, col))
-    bound = max((sum(_norm(entry) * _norm(vec[col]) for entry, col in pairs) + _norm(scalar) * _norm(vec.get(row, {}))
-                 for row, pairs in rows.items()), default=0)
-    (a0, a1, b0), (c0, c1, d0) = _box([scalar] + [e for pairs in rows.values() for e, _ in pairs]), _box(vec.values())
-    return rows, bound.bit_length(), a1 - a0 + c1 - c0 + 1, (a0, b0), (c0, d0)
+def _row_sums(matrix, vec, packed=None):
+    # {row: sum_col matrix[col][row] vec[col]}, each entry read from packed by its id when given
+    out = {}
+    for col, x in vec.items():
+        for row, e in matrix.get(col, {}).items():
+            out[row] = out.get(row, 0) + (e if packed is None else packed[id(e)]) * x
+    return out
+
+
+def _layout(sides):
+    # the distinct entries and vecs by id; B, 2^B above each row's sum over
+    # both sides of |n| |entry| |vec[col]|; W; the offsets of entries and of vecs
+    vecs = {id(vec): vec for _, vec, _ in sides}
+    vec_norms = {key: {col: _norm(x) for col, x in vec.items()} for key, vec in vecs.items()}
+    entries, norms, bound = {}, {}, {}
+    for matrix, vec, n in sides:
+        for col, x in vec_norms[id(vec)].items():
+            for row, e in matrix.get(col, {}).items():
+                key = id(e)
+                if key not in norms:
+                    entries[key], norms[key] = e, _norm(e)
+                bound[row] = bound.get(row, 0) + abs(n) * x * norms[key]
+    (a0, a1, b0), (c0, c1, d0) = _box(entries.values()), _box(x for vec in vecs.values() for x in vec.values())
+    return entries, vecs, max(bound.values(), default=0).bit_length(), a1 - a0 + c1 - c0 + 1, (a0, b0), (c0, d0)
 
 
 def _box(polys):
     # (least a, greatest a, least b) over the keys (a, b)
-    keys = [key for poly in polys for key in poly] or [(0, 0)]
-    return min(a for a, _ in keys), max(a for a, _ in keys), min(b for _, b in keys)
+    a, b = zip(*[key for poly in polys for key in poly] or [(0, 0)])
+    return min(a), max(a), min(b)
 
 
 def _norm(poly):
@@ -572,7 +591,8 @@ def _norm(poly):
 
 def _pack(poly, width, span, offset):
     # sum n 2^(B (a - a0 + W (b - b0))) over the items ((a, b), n) of poly
-    return sum(n << width * (a - offset[0] + span * (b - offset[1])) for (a, b), n in poly.items())
+    step, base = width * span, width * (offset[0] + span * offset[1])
+    return sum(n << width * a + step * b - base for (a, b), n in poly.items())
 
 
 class RatFun:

@@ -275,22 +275,16 @@ def _nonzero(coeffs):
 
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
-    """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam = c_lam M_lam
-    (equivalent, c_lam != 0), by the rows of `macops._A_k_equation`.  Over
-    Q(q,t) each row is two Kronecker-packed ints (`ratfun.first_unequal_row`),
-    equal exactly when the row holds, with no gcd.  At a sample point each
-    row is an int sum, compared with e_k(lam) by cross-multiplying its
-    numerator and denominator; a sample point certifies only itself."""
+    """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam, a nonzero
+    multiple of M_lam, as the two sides of `macops._A_k_equation`, compared
+    row by row (`ratfun.first_unequal_row`).  Over Q(q,t) each row is two
+    Kronecker-packed ints, equal exactly when the row holds, with no gcd.
+    At a sample point each row is two int sums, each times the other
+    side's denominator; a sample point certifies only itself."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
-    if field.is_symbolic:
-        key = first_unequal_row(*macops._A_k_equation(k, lam))
-    else:
-        matrix, vec, scalar = macops._A_k_equation(k, lam, field)
-        got = macops._table_apply(matrix, vec, field)
-        key = next((row for row in sorted(got.keys() | vec.keys())
-                    if got.get(row, 0) * scalar.denominator != scalar.numerator * vec.get(row, 0)), None)
+    key = first_unequal_row(*macops._A_k_equation(k, lam, field))
     if key is None:
         return _finish("theorem_basic", params, t0, True)
     return _finish("theorem_basic", params, t0, False, "eigen-equation fails at m[%s]" % format_partition(key))
@@ -301,19 +295,17 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     A_k and A_l are the eigenvalues e_k and e_l.
 
     Both read the integer tables of `macops._A_matrices` at N = degree.
-    The columns of A_k A_l and A_l A_k are products of integer entries,
-    both over the square of the tables' unit (den, shift).  A diagonal
-    entry of A_j and the split e_j of `macops._eigen_split` both carry
-    q^-degree; each is lifted with its own denominator (`macops._lift`)
-    and the two are compared."""
+    Column mu of A_k A_l and of A_l A_k are compared row by row
+    (`ratfun.first_unequal_row`), both over the square of the tables' unit
+    (den, shift).  A diagonal entry of A_j and the split e_j of
+    `macops._eigen_split` both carry q^-degree; each is lifted with its own
+    denominator (`families._lift`) and the two are compared."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
     tables, den, shift = macops._A_matrices(degree, degree, field)
     a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
     for mu in enumerate_partitions(degree):
-        kl = macops._table_apply(a[k], a[l].get(mu, {}), field)
-        lk = macops._table_apply(a[l], a[k].get(mu, {}), field)
-        nu = _first_difference(kl, lk)
+        nu = first_unequal_row((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1))
         if nu is not None:
             return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
                            % (k, l, degree, format_partition(nu), format_partition(mu)))
@@ -321,7 +313,7 @@ def check_commute(k, l, degree, field=SYMBOLIC):
         for j in (k, l):
             # e_j vanishes for j > ell(mu)
             e = eigen[j] if j < len(eigen) else None
-            if macops._lift(a[j].get(mu, {}).get(mu), den, field, shift) != macops._lift(e, e_den, field, shift):
+            if families._lift(a[j].get(mu, {}).get(mu), den, field, shift) != families._lift(e, e_den, field, shift):
                 return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
                                % (j, degree, format_partition(mu), format_partition(mu)))
     return _finish("commute", params, t0, True)

@@ -162,6 +162,9 @@ def test_exit_code_precondition(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "verify", "green", "--mode", "numeric")
     assert code == 3
+    # a seed without numeric mode would run the symbolic sweep and draw no point
+    code, out, err = run_cli(capsys, "verify", "theorem", "--max-degree", "10", "--seed", "7")
+    assert (code, out) == (3, "") and "--seed requires --mode numeric" in err
 
 
 def test_exit_code_out_of_range_verify_options(capsys):

@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -314,7 +315,7 @@ def _d1_solve_reference(degree, field):
     # the former library build: the D^1 slice lifted to the field, solved
     # from c[lam] = 1 with a field division (a reduced RatFun) at every step
     den = families._dn_denominator(degree, degree, field)
-    d1 = {nu: {mu: macops._lift(entry[1], den, field) for mu, entry in column.items() if entry[1]}
+    d1 = {nu: {mu: families._lift(entry[1], den, field) for mu, entry in column.items() if entry[1]}
           for nu, column in families._dn_table(degree, degree, 1, field)}
     order = sorted(d1, key=grevlex_key)
     out = {}
@@ -409,13 +410,25 @@ def test_integral_build_refuses_a_d1_entry_outside_zqt(monkeypatch):
 
 
 def test_macdonald_is_reduced_on_first_request(monkeypatch):
-    # the symbolic build solves J only; M_lam = J_lam / c_lam is filled in
-    # for the partitions asked for, and theorem and deigen ask for none
+    # the build solves J only; M_lam is filled in for the partitions asked
+    # for, and theorem and deigen ask for none.  At a sample point J_lam is
+    # M_lam cleared of denominators, in ints
+    point = random_point(random.Random(20261024))
     monkeypatch.delitem(symfun._CACHE, ("macdonald", 4, F), raising=False)
-    assert check_theorem_basic(2, (2, 1, 1)).passed() and check_deigen(3, (2, 2)).passed()
-    assert families._macdonald_degree(4, F)[1] == {}
-    m = macdonald_in_m((2, 2))
-    assert families._macdonald_degree(4, F)[1] == {Partition((2, 2)): m}
+    try:
+        for field in (F, point):
+            assert check_theorem_basic(2, (2, 1, 1), field).passed() and check_deigen(3, (2, 2), field).passed()
+            integral, monic = families._macdonald_degree(4, field)
+            assert monic == {}
+            m = macdonald_in_m((2, 2), field)
+            assert families._macdonald_degree(4, field)[1] == {Partition((2, 2)): m}
+        for lam, j in integral.items():
+            m = macdonald_in_m(lam, point)
+            assert all(type(c) is int for c in j.values()) and list(j) == list(m), lam
+            # J_lam = j[lam] M_lam, M_lam[lam] = 1, and no common factor is left
+            assert all(c == m[mu] * j[lam] for mu, c in j.items()) and math.gcd(*j.values()) == 1, lam
+    finally:
+        clear_field_caches(point)
 
 
 def test_macdonald_at_t_one_is_monomial():
@@ -600,7 +613,7 @@ def test_laurent_lift_is_the_reduced_fraction():
         expected = F.zero
         for (a, i), n in entry.items():
             expected = expected + F.from_int(n) * F.q ** (a + shift) * F.t ** (-i)
-        assert families._laurent_lift(entry, shift) == expected, (entry, shift)
+        assert families._lift(entry, 1, F, shift) == expected, (entry, shift)
 
 
 def test_u_product_expands_the_linear_factors():
@@ -624,7 +637,7 @@ def test_u_product_expands_the_linear_factors():
         for top in (0, 1, max(len(factors) - 1, 0), None):
             want = expansion if top is None else (expansion + [F.zero] * top)[:top + 1]
             entries, one = families._u_product(iter(factors), F, top)
-            assert (one, [families._laurent_lift(e) for e in entries]) == (1, want), (factors, top)
+            assert (one, [families._lift(e, 1, F) for e in entries]) == (1, want), (factors, top)
             ints, got_den = families._u_product(iter(factors), point, top)
             assert got_den == den, (factors, top)
             assert [Fraction(n, den) for n in ints] == [c.evaluate(point.q, point.t) for c in want], (factors, top)

@@ -165,13 +165,13 @@ def test_dn_table_matches_explicit_alternant():
 
 def _dn_slices(column, degree, N, field):
     # one `_dn_table` column over the field as its u^s slices {mu: c}: each
-    # entry lifted by `macops._lift`
+    # entry lifted by `families._lift`
     den = families._dn_denominator(degree, N, field)
     out = [{} for _ in next(iter(column.values()))]
     for mu, entry in column.items():
         for s, c in enumerate(entry):
             if c:
-                out[s][mu] = macops._lift(c, den, field)
+                out[s][mu] = families._lift(c, den, field)
     return out
 
 
@@ -475,8 +475,8 @@ def _evaluated(value, point):
 def _lifted(tables, field):
     # the tables, den and shift of `_A_matrices` as matrices over the field
     matrices, den, shift = tables
-    return [{mu: {nu: macops._lift(e, den, field, shift) for nu, e in column.items()} for mu, column in matrix.items()}
-            for matrix in matrices]
+    return [{mu: {nu: families._lift(e, den, field, shift) for nu, e in column.items()}
+             for mu, column in matrix.items()} for matrix in matrices]
 
 
 def test_point_tables_equal_the_symbolic_tables_evaluated():

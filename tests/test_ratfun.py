@@ -378,17 +378,19 @@ def test_remainder_sequences_match_sympy():
 # Kronecker-packed row comparison
 
 
-def _packed_sides(matrix, vec, scalar, narrower):
-    # {row: (lhs, rhs)} packed at the layout of `_packing`, with its bit
-    # width B and its slot span W each made narrower by the given amounts
-    from qtsym.ratfun import _pack, _packing
+def _packed_sides(sides, narrower):
+    # {row: (lhs, rhs)} packed at the layout of `_layout`, with its bit width
+    # B and its slot span W each made narrower by the given amounts
+    from qtsym.ratfun import _layout, _pack
 
-    rows, width, span, left, right = _packing(matrix, vec, scalar)
+    _, _, width, span, left, right = _layout(sides)
     width, span = width - narrower[0], span - narrower[1]
-    packed = {col: _pack(poly, width, span, right) for col, poly in vec.items()}
-    return {row: (sum(_pack(entry, width, span, left) * packed[col] for entry, col in pairs),
-                  _pack(scalar, width, span, left) * packed.get(row, 0))
-            for row, pairs in rows.items()}
+    out = [{} for _ in sides]
+    for total, (matrix, vec, n) in zip(out, sides):
+        for col, x in vec.items():
+            for row, entry in matrix.get(col, {}).items():
+                total[row] = total.get(row, 0) + n * _pack(entry, width, span, left) * _pack(x, width, span, right)
+    return {row: (out[0].get(row, 0), out[1].get(row, 0)) for row in out[0].keys() | out[1].keys()}
 
 
 @pytest.mark.parametrize("narrower, matrix, vec, scalar, row", [
@@ -401,62 +403,125 @@ def _packed_sides(matrix, vec, scalar, narrower):
     ((0, 1), {0: {0: {(-1, -2): 1}}}, {0: {(4, 4): -3}}, {(-3, -1): 1}, 0),
     # the first row agrees, the second aliases at W - 1
     ((0, 1), {0: {0: {(0, 1): 1}, 1: {(2, 0): 1}}}, {0: {(0, 0): 1}, 1: {(0, 0): 1}}, {(0, 1): 1}, 1),
+    # 2 * 2^4 against q, the left side factor n = 2 given with the matrix:
+    # the norms alone, 2^4 + 1, give B - 1 = 5, where both pack to 2^5;
+    # only |n| = 2 in the bound keeps them apart
+    ((1, 0), ({0: {0: {(0, 0): 2 ** 4}}}, 2), {0: {(0, 0): 1}}, {(1, 0): 1}, 0),
 ])
 def test_packing_tells_apart_what_a_narrower_packing_aliases(narrower, matrix, vec, scalar, row):
-    assert first_unequal_row(matrix, vec, scalar) == row
-    lhs, rhs = _packed_sides(matrix, vec, scalar, narrower)[row]
+    # n sum_col matrix[col][row] vec[col] against scalar vec[row], n = 1
+    # unless the matrix comes as (matrix, n)
+    matrix, n = matrix if isinstance(matrix, tuple) else (matrix, 1)
+    sides = (matrix, vec, n), ({col: {col: scalar} for col in vec}, vec, 1)
+    assert first_unequal_row(*sides) == row
+    lhs, rhs = _packed_sides(sides, narrower)[row]
     assert lhs == rhs
 
 
-def _laurent(rng, terms):
+def _laurent(rng, terms, constant=False):
     out = {}
     for _ in range(terms):
-        key = (rng.randint(-3, 3), rng.randint(-3, 3))
+        key = (0, 0) if constant else (rng.randint(-3, 3), rng.randint(-3, 3))
         out[key] = out.get(key, 0) + rng.choice((-1, 1)) * rng.randint(1, 2 ** rng.randint(1, 70))
     return {key: n for key, n in out.items() if n}
 
 
-def _laurent_axpy(target, a, b, sign=1):
-    # target += sign * a * b on Laurent dicts, zeros dropped
+def _laurent_axpy(target, a, b, n=1):
+    # target += n * a * b on Laurent dicts, zeros dropped
     for (x, y), m in a.items():
-        for (u, v), n in b.items():
+        for (u, v), k in b.items():
             key = (x + u, y + v)
-            target[key] = target.get(key, 0) + sign * m * n
+            target[key] = target.get(key, 0) + n * m * k
             if not target[key]:
                 del target[key]
 
 
-def _first_unequal_row_by_dicts(matrix, vec, scalar):
-    lhs, rhs = {}, {}
+def _side_by_dicts(matrix, vec, n):
+    # {row: n sum_col matrix[col][row] vec[col]} on Laurent dicts
+    out = {}
     for col, entries in matrix.items():
         for row, entry in entries.items():
-            _laurent_axpy(lhs.setdefault(row, {}), entry, vec.get(col, {}))
-    for row, poly in vec.items():
-        _laurent_axpy(rhs.setdefault(row, {}), scalar, poly)
+            _laurent_axpy(out.setdefault(row, {}), entry, vec.get(col, {}), n)
+    return out
+
+
+def _first_unequal_row_by_dicts(left, right):
+    lhs, rhs = _side_by_dicts(*left), _side_by_dicts(*right)
     return next((row for row in sorted(set(lhs) | set(rhs)) if lhs.get(row, {}) != rhs.get(row, {})), None)
 
 
+def _scaled(matrix, n):
+    return {col: {row: {key: n * c for key, c in entry.items()} for row, entry in entries.items()}
+            for col, entries in matrix.items()}
+
+
+def _product(a, b):
+    # the matrix a b in the layout {col: {row: entry}}
+    out = {}
+    for col, entries in b.items():
+        for k, entry in entries.items():
+            for row, x in a.get(k, {}).items():
+                _laurent_axpy(out.setdefault(col, {}).setdefault(row, {}), x, entry)
+    return out
+
+
+def _theorem_shaped(rng, n, draw):
+    # (b M, v, a) against (a s on the diagonal, v, b), M = s on the diagonal
+    # plus off-diagonal pairs x v_j at column i and -x v_i at column j of one
+    # row, which cancel
+    vec = {col: draw(rng.randint(0, 4)) for col in range(n) if rng.random() < 0.85}
+    scalar = draw(rng.randint(0, 3))
+    matrix = {col: {col: dict(scalar)} for col in range(n)}
+    for _ in range(rng.randint(0, 3)):
+        i, j, row = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        x = draw(2)
+        _laurent_axpy(matrix[i].setdefault(row, {}), x, vec.get(j, {}))
+        _laurent_axpy(matrix[j].setdefault(row, {}), x, vec.get(i, {}), -1)
+    a, b = (rng.choice((1, 1, -1, 2, 3 ** 40)) for _ in range(2))
+    return [_scaled(matrix, b), vec, a], [_scaled({col: {col: scalar} for col in vec}, a), vec, b]
+
+
+def _commute_shaped(rng, n, draw):
+    # (A, (A A)[mu], a) against (A A, A[mu], a), both column mu of A A A
+    a = {col: {row: draw(rng.randint(0, 2)) for row in range(n) if rng.random() < 0.6} for col in range(n)}
+    square, mu, factor = _product(a, a), rng.randrange(n), rng.choice((1, -1, 5))
+    return [a, square.get(mu, {}), factor], [square, a[mu], factor]
+
+
+def _to_ints(side):
+    # a side on constant Laurent dicts as the same side on ints
+    def value(poly):
+        return poly.get((0, 0), 0)
+
+    matrix, vec, n = side
+    return ({col: {row: value(e) for row, e in entries.items()} for col, entries in matrix.items()},
+            {col: value(x) for col, x in vec.items()}, n)
+
+
 def test_packed_rows_match_dict_arithmetic():
-    # scalar on the diagonal plus off-diagonal pairs x v_b at column a and
-    # -x v_a at column b of one row, which cancel; half the cases then get one
-    # entry perturbed.  Exponents and coefficients take both signs, coefficients
-    # reach 70 bits, and entries, vec rows and the scalar may be empty.
+    # theorem-shaped sides (one vec, side factors a and b) and commute-shaped
+    # ones (two vecs, one factor), over Laurent dicts and over ints; half the
+    # cases then get one matrix entry perturbed, or one side factor, which
+    # moves every nonzero row of that side alone.  Exponents and coefficients
+    # take both signs, coefficients reach 70 bits, and entries, vec rows and
+    # the diagonal may be empty
     rng = random.Random(20261019)
     outcomes = []
-    for _ in range(300):
+    for trial in range(600):
+        constant = trial % 4 >= 2
         n = rng.randint(1, 4)
-        vec = {col: _laurent(rng, rng.randint(0, 4)) for col in range(n) if rng.random() < 0.85}
-        scalar = _laurent(rng, rng.randint(0, 3))
-        matrix = {col: {col: dict(scalar)} for col in range(n)}
-        for _ in range(rng.randint(0, 3)):
-            a, b, row = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            x = _laurent(rng, 2)
-            _laurent_axpy(matrix[a].setdefault(row, {}), x, vec.get(b, {}))
-            _laurent_axpy(matrix[b].setdefault(row, {}), x, vec.get(a, {}), -1)
+        left, right = (_theorem_shaped, _commute_shaped)[trial % 2](rng, n, lambda k: _laurent(rng, k, constant))
         if rng.random() < 0.5:
-            entry = matrix[rng.randrange(n)].setdefault(rng.randrange(n), {})
-            _laurent_axpy(entry, _laurent(rng, 1), {(0, 0): 1})
-        got = first_unequal_row(matrix, vec, scalar)
-        assert got == _first_unequal_row_by_dicts(matrix, vec, scalar), (matrix, vec, scalar)
-        outcomes.append(got)
-    assert outcomes.count(None) > 100 and len(set(outcomes)) == 5
+            if rng.random() < 0.3:
+                right[2] += rng.choice((-1, 1))
+            else:
+                side = rng.choice((left, right))
+                entry = side[0].setdefault(rng.randrange(n), {}).setdefault(rng.randrange(n), {})
+                _laurent_axpy(entry, _laurent(rng, 1, constant), {(0, 0): 1})
+        want = _first_unequal_row_by_dicts(left, right)
+        got = first_unequal_row(*(map(_to_ints, (left, right)) if constant else (left, right)))
+        assert got == want, (left, right, constant)
+        outcomes.append((trial % 4, got))
+    for kind in range(4):
+        rows = [row for k, row in outcomes if k == kind]
+        assert rows.count(None) > 30 and len(set(rows)) == 5, (kind, rows)

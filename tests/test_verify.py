@@ -200,8 +200,7 @@ def test_deigen_sweep_takes_no_gcd(monkeypatch):
     # multiplies integers alone: J_lam lies in Z[q,t], so apply_DN clears no
     # denominator, and each side lifts its entries over monomials
     for d in range(4):
-        for lam in enumerate_partitions(d):
-            families._macdonald_laurent(lam)
+        families._macdonald_degree(d, F)
         for N in range(1, 4):
             macops._dn_matrices(d, N, F)
     calls = []
@@ -344,9 +343,9 @@ def test_point_theorem_check_refuses_a_wrong_eigenvalue(monkeypatch, change):
 def test_symbolic_theorem_check_takes_no_gcd_and_builds_no_ratfun(monkeypatch):
     # once the tables are built, the packed check runs on integers alone
     lams = [lam for d in range(6) for lam in enumerate_partitions(d)]
-    for lam in lams:
-        families._macdonald_laurent(lam)
-        macops._A_matrices(sum(lam), sum(lam), F)
+    for d in range(6):
+        families._macdonald_degree(d, F)
+        macops._A_matrices(d, d, F)
 
     def refuse(*args):
         raise AssertionError("a symbolic check took a gcd or built a RatFun")
@@ -364,6 +363,25 @@ def test_commute_sweep_passes():
     assert [r.parameters for r in reports[:3]] == [{"k": 1, "l": 2, "degree": 1},
                                                    {"k": 1, "l": 3, "degree": 1},
                                                    {"k": 2, "l": 3, "degree": 1}]
+
+
+def test_commute_sweep_takes_no_gcd(monkeypatch):
+    # once the A_k tables of degree <= 5 are built, the symbolic commute
+    # sweep compares packed integer rows and lifts its diagonals over
+    # monomials
+    for d in range(6):
+        macops._A_matrices(d, d, F)
+    calls = []
+    real = ratfun.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(ratfun, "poly_gcd", counted)
+    reports = list(run_suite("commute", {"max_degree": 5}))
+    assert reports and all(r.passed() for r in reports), [r.witness for r in reports]
+    assert len(calls) == 0
 
 
 def test_commute_failure_names_the_entry(monkeypatch):
