@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import families, macops, verify
@@ -154,11 +155,16 @@ def render_plain(f):
     return _render(f, "%s[%s]", format_ratfun, _plain_scaled)
 
 
+def _latex_poly(p):
+    # every exponent braced (q^{10}, not q^10), factors set side by side
+    return re.sub(r"\^(\d+)", r"^{\1}", str(p)).replace("*", "")
+
+
 def _latex_ratfun(c):
-    num = str(c.num)
+    num = _latex_poly(c.num)
     if c.den == 1:
         return num if len(c.num.terms) == 1 else "(%s)" % num
-    return "\\frac{%s}{%s}" % (num, str(c.den))
+    return "\\frac{%s}{%s}" % (num, _latex_poly(c.den))
 
 
 def render_latex(f):

@@ -41,7 +41,6 @@ from .symfun import (
     SymFun,
     _express_in_basis,
     _memo,
-    _p_to_m_degree,
     axpy,
     restrict,
 )
@@ -70,13 +69,14 @@ def _hl_degree(degree, field):
 
         q_in_hl = {beta: push_parts(beta, pieri) for beta in lams}
         q_in_p = {beta: push_parts(beta, row) for beta in lams}
+        p_to_m = symfun.transition_matrix("p", "m", degree, field)
         out = {(kind, basis): {} for kind in "PQ" for basis in "mp"}
         for lam in lams:
             in_p, in_m = {}, {}
             for beta, c in _express_in_basis({lam: field.one}, q_in_hl, lams).items():
                 axpy(in_p, q_in_p[beta], c)
             for mu, c in in_p.items():
-                axpy(in_m, _p_to_m_degree(degree, field)[mu], c)
+                axpy(in_m, p_to_m[mu], c)
             b = t_factors(lam, field=field).b
             for basis, vec in (("m", in_m), ("p", in_p)):
                 out["P", basis][lam] = {mu: c for mu, c in vec.items() if c}
@@ -407,24 +407,21 @@ class GreenTable:
 
 
 def green_table(degree, field=SYMBOLIC):
-    """Coefficients X_{lam,mu}(t) with p_lam = sum_mu X_{lam,mu} P_mu."""
+    """Coefficients X_{lam,mu}(t) with p_lam = sum_mu X_{lam,mu} P_mu: the
+    memoised transition_matrix("p", "P") laid out densely."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-
-    def build():
-        lams = enumerate_partitions(degree)
-        p_to_hl = symfun.transition_matrix("p", "P", degree, field)
-        entries = {}
-        for lam in lams:
-            row = p_to_hl[lam]
-            for mu in lams:
-                c = row.get(mu, field.zero)
-                if field.is_symbolic:
-                    _require_z_t(c, "Green coefficient X[%r,%r]" % (tuple(lam), tuple(mu)))
-                entries[(lam, mu)] = c
-        return GreenTable(degree=degree, entries=entries)
-
-    return _memo(("green", degree, field), build)
+    lams = enumerate_partitions(degree)
+    p_to_hl = symfun.transition_matrix("p", "P", degree, field)
+    entries = {}
+    for lam in lams:
+        row = p_to_hl[lam]
+        for mu in lams:
+            c = row.get(mu, field.zero)
+            if field.is_symbolic:
+                _require_z_t(c, "Green coefficient X[%r,%r]" % (tuple(lam), tuple(mu)))
+            entries[(lam, mu)] = c
+    return GreenTable(degree=degree, entries=entries)
 
 
 # ---------------------------------------------------------------------------

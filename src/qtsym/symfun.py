@@ -25,6 +25,7 @@ from .partitions import (
     stats,
     union,
 )
+from . import ratfun
 from .ratfun import SYMBOLIC
 
 BASES = ("m", "p", "s", "P", "Q", "M")
@@ -67,7 +68,9 @@ def _memo(key, builder):
 
 
 def clear_caches():
+    """Drop every memo: the basis tables and the gcd memo of `ratfun`."""
     _CACHE.clear()
+    ratfun._GCD_MEMO.clear()
 
 
 def clear_field_caches(field):
@@ -216,16 +219,6 @@ def multiply(f, g, degree_bound=None):
 # ---------------------------------------------------------------------------
 # transition matrices
 
-def _p_to_m_degree(degree, field):
-    def build():
-        out = {}
-        for lam in enumerate_partitions(degree):
-            out[lam] = {mu: field.from_int(r) for mu, r in push_parts(lam, power_sum_step).items()}
-        return out
-
-    return _memo(("p_to_m", degree, field), build)
-
-
 def _express_in_basis(vec, expansions, order):
     """Solve vec = sum_i out[i] * expansions[i] by triangular elimination."""
     work = dict(vec)
@@ -243,24 +236,25 @@ def _express_in_basis(vec, expansions, order):
     return out
 
 
-def _basis_in_m(tag, lam, field):
-    if tag == "m":
-        return {lam: field.one}
+def _in_m(tag, degree, field):
+    """{lam: monomial expansion of the `tag` basis element lam} over one degree."""
     if tag == "p":
-        return _p_to_m_degree(sum(lam), field)[lam]
+        return {lam: {mu: field.from_int(r) for mu, r in push_parts(lam, power_sum_step).items()}
+                for lam in enumerate_partitions(degree)}
     if tag == "s":
-        return schur_in_m(lam, field)
+        return {lam: {mu: field.from_int(k) for mu, k in row.items()} for lam, row in kostka_rows(degree).items()}
     from . import families
 
     if tag in ("P", "Q"):
-        return families._hl_in(lam, tag, "m", field)
-    if tag == "M":
-        return families.macdonald_in_m(lam, field)
-    raise BasisMismatch("unknown basis tag %r" % (tag,))
+        return families._hl_degree(degree, field)[tag, "m"]
+    return {lam: families.macdonald_in_m(lam, field) for lam in enumerate_partitions(degree)}
 
 
 def transition_matrix(frm, to, degree, field=SYMBOLIC):
-    """Columns express the `frm` basis elements in the `to` basis."""
+    """Columns express the `frm` basis elements in the `to` basis.
+
+    The tables into 'm' are the memo of every basis expansion; their rows
+    are shared with the family memos, so callers only read them."""
     if frm not in BASES or to not in BASES:
         raise BasisMismatch("unknown basis tag")
 
@@ -269,15 +263,16 @@ def transition_matrix(frm, to, degree, field=SYMBOLIC):
         if frm == to:
             return {lam: {lam: field.one} for lam in lams}
         if to == "m":
-            return {lam: dict(_basis_in_m(frm, lam, field)) for lam in lams}
-        expansions = {lam: _basis_in_m(to, lam, field) for lam in lams}
+            return _in_m(frm, degree, field)
+        vectors = transition_matrix(frm, "m", degree, field)
+        expansions = transition_matrix(to, "m", degree, field)
         # p_lam has monomial support above lam in dominance, so its solve
         # starts at the minimal partition; the family bases have support
         # below and start at the maximal one
         order = sorted(lams, key=grevlex_key)
         if to == "p":
             order.reverse()
-        return {lam: _express_in_basis(_basis_in_m(frm, lam, field), expansions, order) for lam in lams}
+        return {lam: _express_in_basis(vectors[lam], expansions, order) for lam in lams}
 
     return _memo(("transition", frm, to, degree, field), build)
 
@@ -606,12 +601,7 @@ def divide_by_vandermonde(xp):
 def schur_in_m(nu, field=SYMBOLIC):
     """Monomial expansion of a Schur function: {mu: K_(nu,mu)}."""
     nu = Partition(nu)
-
-    def build():
-        rows = kostka_rows(sum(nu))
-        return {lam: {mu: field.from_int(k) for mu, k in row.items()} for lam, row in rows.items()}
-
-    return _memo(("s_m", sum(nu), field), build)[nu]
+    return transition_matrix("s", "m", sum(nu), field)[nu]
 
 
 def _perm_sign(sigma):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,18 @@ def test_expand_latex(capsys):
     )
     assert code == 0
     assert out.strip() == "m_{(2)} + (1-t)\\, m_{(1,1)}"
+
+
+def test_expand_latex_braces_exponents(capsys):
+    code, out, _ = run_cli(
+        capsys, "expand", "--family", "macdonald", "--partition", "5", "--format", "latex"
+    )
+    assert code == 0
+    assert out.startswith(
+        "m_{(5)} + \\frac{1-t+q-qt+q^{2}-q^{2}t+q^{3}-q^{3}t+q^{4}-q^{4}t}{1-q^{4}t}\\, m_{(4,1)} + "
+    )
+    assert "q^{10}" in out
+    assert "*" not in out and not re.search(r"\^\d", out)
 
 
 def test_expand_empty_partition(capsys):

@@ -139,6 +139,16 @@ def test_concurrent_cache_fill_is_idempotent():
     clear_caches()
 
 
+def test_clear_caches_empties_the_gcd_memo():
+    from qtsym import ratfun
+    from qtsym.symfun import clear_caches
+
+    parse_ratfun("1/(1-q)") + parse_ratfun("q/(1-q*t)")
+    assert ratfun._GCD_MEMO
+    clear_caches()
+    assert not ratfun._GCD_MEMO
+
+
 def test_p_multiply_graded():
     f = SymFun("p", {P(2, 1): one}, 3)
     g = SymFun("p", {P(1, 1): rf("q")}, 2)

@@ -616,6 +616,15 @@ def test_run_suite_all_runs_every_suite_in_order():
     assert all(r.passed() for r in reports), [r.witness for r in reports if not r.passed()]
 
 
+def test_run_suite_all_fills_only_the_basis_memo_kinds(monkeypatch):
+    # every basis table lives in the transition memo; none has a copy of its own
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    assert all(r.passed() for r in run_suite("all"))
+    kinds = {key[0] for key in symfun._CACHE}
+    assert kinds <= {"transition", "ip", "hl", "dn_skeleton", "dn_table", "macdonald", "A_table"}, kinds
+    assert not kinds & {"p_to_m", "s_m", "green"}
+
+
 def test_run_suite_kernel_and_reports():
     reports = list(run_suite("kernel", {"max_degree": 2}))
     assert len(reports) == 4
