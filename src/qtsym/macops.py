@@ -312,13 +312,19 @@ def A_k_matrix(k, degree, field=SYMBOLIC):
 def _A_matrices(degree, N, field):
     """([A_0, .., A_N], den, -degree) on the m_mu of the degree with
     ell(mu) <= N, from q^(-degree) D_N(u) m_mu / (u;1/t)_N =
-    sum_k 1/(u;1/t)_k A_k m_mu.
+    sum_k 1/(u;1/t)_k A_k m_mu: the first three items of `_A_entry`."""
+    return _A_entry(degree, N, field)[:3]
 
-    The partial fractions (`_split_pochhammer`) of the entries of
-    `_dn_table`, one column at a time, over their one denominator den;
-    `_lift` reads an entry over the field.  An entry above its column raises
-    BadMatrixEntry; at a point only an entry whose value does not vanish is
-    seen.
+
+def _A_entry(degree, N, field):
+    """The A_table memo entry (tables, den, -degree, splits) of `_A_matrices`.
+
+    The tables are the partial fractions (`_split_pochhammer`) of the
+    entries of `_dn_table`, one column at a time, over their one
+    denominator den; `_lift` reads an entry over the field.  An entry above
+    its column raises BadMatrixEntry; at a point only an entry whose value
+    does not vanish is seen.  splits starts empty and `_eigen_values` fills
+    it, one lam at a time.
     """
     def build():
         out = [{} for _ in range(N + 1)]
@@ -335,7 +341,7 @@ def _A_matrices(degree, N, field):
                                 "order ideal of the column" % (k, degree, tuple(nu), tuple(mu)))
                         out[k][mu][nu] = e
         # den, that of every split of the table, read off the split of an empty entry
-        return out, _split_pochhammer((), N, field, families._dn_denominator(degree, N, field))[1], -degree
+        return out, _split_pochhammer((), N, field, families._dn_denominator(degree, N, field))[1], -degree, {}
 
     return _memo(("A_table", degree, N, field), build)
 
@@ -376,22 +382,35 @@ def _eigen_split(lam, field=SYMBOLIC):
     """(values, den): q^|lam| e_k(lam), k = 0..ell, on the unit of the A_k
     tables: the partial fractions (`_split_pochhammer`) of the
     u-coefficients of prod_i (1 - u q^(lam_i) t^-i), i from 0
-    (`families._u_product`), over den."""
+    (`families._u_product`), over den.  Taken afresh on each call: the
+    checks read it through `_eigen_values`, which keeps it."""
     num, den = families._u_product(enumerate(lam), field)
     return _split_pochhammer(num, len(lam), field, den)
+
+
+def _eigen_values(lam, field):
+    """The split of `_eigen_split` at lam, kept in the A_table entry of
+    degree |lam| (`_A_entry`) and taken on its first request, as
+    `families.macdonald_in_m` fills the M rows of the macdonald entry; so
+    it is split once per (lam, field) and dropped with its tables."""
+    degree = sum(lam)
+    splits = _A_entry(degree, degree, field)[3]
+    if lam not in splits:
+        splits[lam] = _eigen_split(lam, field)
+    return splits[lam]
 
 
 def _A_k_equation(k, lam, field=SYMBOLIC):
     """A_k J_lam = e_k(lam) J_lam as the two sides (A_k, J_lam, e_den) and
     (diag e_k, J_lam, den) of `ratfun.first_unequal_row`, J_lam as
     `families._macdonald_degree` holds it.  The table of `_A_matrices` is
-    over den and the split of `_eigen_split` over e_den; both carry
+    over den and the split kept by `_eigen_values` over e_den; both carry
     q^-|lam|, which cancels.  A_k is 0 for k > |lam|, e_k for k > ell."""
     degree = sum(lam)
     tables, den, _ = _A_matrices(degree, degree, field)
     j = families._macdonald_degree(degree, field)[0][lam]
-    # e_k vanishes for k > ell, and its split is not taken
-    values, e_den = _eigen_split(lam, field) if k <= len(lam) else ((), 1)
+    # e_k vanishes for k > ell, and its split is not asked for
+    values, e_den = _eigen_values(lam, field) if k <= len(lam) else ((), 1)
     diagonal = {mu: {mu: values[k]} for mu in j} if values else {}
     return (tables[k] if k < len(tables) else {}, j, e_den), (diagonal, j, den)
 

@@ -23,6 +23,8 @@ class Partition(tuple):
     __slots__ = ()
 
     def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
         parts = tuple(int(x) for x in parts)
         for i, x in enumerate(parts):
             if x < 1:

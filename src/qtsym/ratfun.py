@@ -531,7 +531,7 @@ def poly_divexact(a, b):
     return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
-def first_unequal_row(left, right):
+def first_unequal_row(left, right, packed=None):
     """The first row, in sorted order, where two sides differ, or None.  A
     side (matrix, vec, n) stands for n sum_col matrix[col][row] vec[col].
 
@@ -542,15 +542,48 @@ def first_unequal_row(left, right):
     one int under the Kronecker ring map x^a y^b -> 2^(B (a - a0 + W (b - b0)))
     (Harvey, arXiv:0712.4046), each distinct entry and vec packed once: W
     exceeds each product's x-span and 2^B each coefficient of the row's
-    difference (`_layout`), so the packed difference is 0 only if the row's is."""
-    sides, packed = (left, right), None
-    if not isinstance(next((x for _, vec, _ in sides for x in vec.values()), 0), int):
+    difference (`_layout`), so the packed difference is 0 only if the row's is.
+    packed, when given, maps the id of every entry and vec value of both
+    sides to its int at one such layout (`pack_products`), and no layout is
+    set here."""
+    sides = (left, right)
+    if packed is not None:
+        sides = [(matrix, {col: packed[id(x)] for col, x in vec.items()}, n) for matrix, vec, n in sides]
+    elif not isinstance(next((x for _, vec, _ in sides for x in vec.values()), 0), int):
         entries, vecs, width, span, offset, vec_offset = _layout(sides)
         packed = {key: _pack(e, width, span, offset) for key, e in entries.items()}
         vecs = {key: {col: _pack(x, width, span, vec_offset) for col, x in vec.items()} for key, vec in vecs.items()}
         sides = [(matrix, vecs[id(vec)], n) for matrix, vec, n in sides]
     (m, lhs), (n, rhs) = ((n, _row_sums(matrix, vec, packed)) for matrix, vec, n in sides)
     return next((row for row in sorted(lhs.keys() | rhs.keys()) if m * lhs.get(row, 0) != n * rhs.get(row, 0)), None)
+
+
+def pack_products(a, b):
+    """{id(e): packed e} over the entries e of two tables {col: {row: e}} of
+    Laurent dicts, at one layout for the rows of (a, b[mu], 1) against
+    (b, a[mu], 1) at every column mu, as `first_unequal_row` reads them.
+
+    Every entry is packed with the least exponents (a0, b0) of both tables,
+    so a product of two lands at 2 (a0, b0), and its x-span is at most
+    W - 1 = 2 (a1 - a0), a1 the greatest x-exponent: no two of its monomials
+    share a slot.  2^B exceeds, at every row of every column, the sum over
+    both sides of |entry| |vec[col]| (norms as sums of |coefficient|), which
+    bounds each coefficient of the row's difference.  So each slot s of the
+    packed difference holds one coefficient c_s, |c_s| < 2^B.  If some c_s
+    is not 0, take the least such s: the packed difference over 2^(B s) is
+    c_s plus a multiple of 2^B, which is not 0.  The packed difference is
+    therefore 0 only if the row's difference is.
+    """
+    norms = [{col: {row: _norm(e) for row, e in column.items()} for col, column in table.items()} for table in (a, b)]
+    width = 0
+    for mu in a.keys() | b.keys():
+        bound = _row_sums(norms[0], norms[1].get(mu, {}))
+        for row, n in _row_sums(norms[1], norms[0].get(mu, {})).items():
+            bound[row] = bound.get(row, 0) + n
+        width = max(width, max(bound.values(), default=0).bit_length())
+    entries = {id(e): e for table in (a, b) for column in table.values() for e in column.values()}
+    a0, a1, b0 = _box(entries.values())
+    return {key: _pack(e, width, 2 * (a1 - a0) + 1, (a0, b0)) for key, e in entries.items()}
 
 
 def _row_sums(matrix, vec, packed=None):
@@ -1050,6 +1083,9 @@ class NumericField:
     Sample points built by `random_point` are ratios of four distinct
     primes, so q^a t^b = 1 only at a = b = 0 and no denominator of the form
     1 - q^a t^b can vanish.
+
+    Every memo key ends with its field, so a point is hashed on each lookup;
+    q and t are never reassigned, and the hash is taken once, here.
     """
 
     is_symbolic = False
@@ -1060,6 +1096,7 @@ class NumericField:
     def __init__(self, q, t):
         self.q = Fraction(q)
         self.t = Fraction(t)
+        self._hash = hash((NumericField, self.q, self.t))
 
     @staticmethod
     def from_int(n):
@@ -1073,7 +1110,7 @@ class NumericField:
         return isinstance(other, NumericField) and (self.q, self.t) == (other.q, other.t)
 
     def __hash__(self):
-        return hash((NumericField, self.q, self.t))
+        return self._hash
 
     def __repr__(self):
         return "NumericField(q=%s, t=%s)" % (self.q, self.t)

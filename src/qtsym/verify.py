@@ -37,7 +37,7 @@ from .partitions import (
     t_factors,
     union,
 )
-from .ratfun import SYMBOLIC, first_unequal_row
+from .ratfun import SYMBOLIC, first_unequal_row, pack_products
 from .symfun import (
     BiSymFun,
     NSymPoly,
@@ -297,19 +297,22 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     Both read the integer tables of `macops._A_matrices` at N = degree.
     Column mu of A_k A_l and of A_l A_k are compared row by row
     (`ratfun.first_unequal_row`), both over the square of the tables' unit
-    (den, shift).  A diagonal entry of A_j and the split e_j of
-    `macops._eigen_split` both carry q^-degree; each is lifted with its own
-    denominator (`families._lift`) and the two are compared."""
+    (den, shift): over Q(q,t) on the ints of one Kronecker layout for every
+    column (`ratfun.pack_products`), each entry of A_k and A_l packed once;
+    at a sample point on int sums.  A diagonal entry of A_j and the split e_j
+    of `macops._eigen_values` both carry q^-degree; each is lifted with its
+    own denominator (`families._lift`) and the two are compared."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
     tables, den, shift = macops._A_matrices(degree, degree, field)
     a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
+    packed = pack_products(a[k], a[l]) if field.is_symbolic else None
     for mu in enumerate_partitions(degree):
-        nu = first_unequal_row((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1))
+        nu = first_unequal_row((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1), packed)
         if nu is not None:
             return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
                            % (k, l, degree, format_partition(nu), format_partition(mu)))
-        eigen, e_den = macops._eigen_split(mu, field)
+        eigen, e_den = macops._eigen_values(mu, field)
         for j in (k, l):
             # e_j vanishes for j > ell(mu)
             e = eigen[j] if j < len(eigen) else None

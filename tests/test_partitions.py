@@ -32,6 +32,23 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def test_partition_of_a_partition_is_itself():
+    # a Partition is already validated; any other input is validated again
+    p = Partition((3, 1))
+    assert Partition(p) is p
+    assert Partition(EMPTY) is EMPTY
+    assert Partition([3, 1]) == p and type(Partition([3, 1])) is Partition
+    for bad in ((1, 2), (2, 0), (0,), [3, 1, 2], (2, -1)):
+        with pytest.raises(ValueError):
+            Partition(bad)
+
+
+def test_partition_weight():
+    assert Partition((4, 2, 1)).weight == 7
+    assert EMPTY.weight == 0
+    assert all(lam.weight == 6 for lam in enumerate_partitions(6))
+
+
 def test_enumerate_weight_4():
     got = enumerate_partitions(4)
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

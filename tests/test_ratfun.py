@@ -525,3 +525,44 @@ def test_packed_rows_match_dict_arithmetic():
     for kind in range(4):
         rows = [row for k, row in outcomes if k == kind]
         assert rows.count(None) > 30 and len(set(rows)) == 5, (kind, rows)
+
+
+def test_numeric_field_hashes_once(monkeypatch):
+    # equal points are equal and hash equal; the hash is taken when the
+    # point is built, so a memo lookup hashes no Fraction
+    from qtsym import macops, symfun
+
+    a = NumericField(Fraction(7, 11), Fraction(13, 17))
+    b = NumericField(Fraction(14, 22), "13/17")
+    assert a == b and hash(a) == hash(b)
+    assert a != NumericField(Fraction(7, 11), Fraction(17, 13))
+    calls = []
+    real = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    assert hash(a) == hash(b)
+    assert calls == []
+    try:
+        tables = macops._A_matrices(3, 3, a)[0]
+        assert macops._A_matrices(3, 3, b)[0] is tables
+        assert calls == []
+    finally:
+        symfun.clear_field_caches(a)
+
+
+def test_reflected_subtraction_and_division():
+    # n - r and n / r for a plain number n, as RatFun.from_int(n) - r and
+    # RatFun.from_int(n) / r; division by zero is refused
+    r = parse_ratfun("(1 - q*t)/(1 + t^2)")
+    for n in (-3, 0, 1, 5):
+        assert n - r == RatFun.from_int(n) - r
+        assert n / r == RatFun.from_int(n) / r
+    assert Fraction(1, 2) - r == RatFun.from_fraction(Fraction(1, 2)) - r
+    assert 2 / R_Q == parse_ratfun("2/q")
+    for n in (0, 5):
+        with pytest.raises(DivisionByZero):
+            n / R_ZERO

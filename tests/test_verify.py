@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qtsym import families, macops, ratfun, symfun, verify
-from qtsym.families import GreenTable, macdonald_M
+from qtsym.families import macdonald_M
 from qtsym.partitions import (
     Compare,
     Partition,
@@ -340,6 +340,43 @@ def test_point_theorem_check_refuses_a_wrong_eigenvalue(monkeypatch, change):
         symfun.clear_field_caches(point)
 
 
+def test_theorem_sweep_splits_each_partition_once(monkeypatch):
+    # the split of e_k(lam) is kept in the A_table entry of degree |lam|:
+    # one split per partition with ell >= 1 (k > ell takes none), none on a
+    # second sweep; at a point it is dropped with its entry
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    for d in range(6):
+        families._macdonald_degree(d, F)
+        macops._A_matrices(d, d, F)
+    calls = []
+    real = macops._eigen_split
+
+    def counted(lam, field=F):
+        calls.append((lam, field))
+        return real(lam, field)
+
+    monkeypatch.setattr(macops, "_eigen_split", counted)
+    config = {"max_degree": 5, "max_k": 3}
+    assert all(r.passed() for r in run_suite("theorem", config))
+    assert len(calls) == 18
+    assert sorted(calls) == sorted((lam, F) for d in range(1, 6) for lam in enumerate_partitions(d))
+    calls.clear()
+    assert all(r.passed() for r in run_suite("theorem", config))
+    assert calls == []
+    point = random_point(random.Random(2026))
+    assert check_theorem_basic(1, P(2, 1), point).passed()
+    assert check_theorem_basic(2, P(2, 1), point).passed()
+    assert calls == [(P(2, 1), point)]
+    symfun.clear_field_caches(point)
+    assert not [key for key in symfun._CACHE if key[-1] == point]
+    assert check_theorem_basic(1, P(2, 1), point).passed()
+    assert calls == [(P(2, 1), point)] * 2
+    symfun.clear_field_caches(point)
+    # A_k_eigen splits afresh and builds no A_k table
+    assert macops.A_k_eigen(P(3, 1), point).entries
+    assert not [key for key in symfun._CACHE if key[-1] == point]
+
+
 def test_symbolic_theorem_check_takes_no_gcd_and_builds_no_ratfun(monkeypatch):
     # once the tables are built, the packed check runs on integers alone
     lams = [lam for d in range(6) for lam in enumerate_partitions(d)]
@@ -382,6 +419,24 @@ def test_commute_sweep_takes_no_gcd(monkeypatch):
     reports = list(run_suite("commute", {"max_degree": 5}))
     assert reports and all(r.passed() for r in reports), [r.witness for r in reports]
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("degree", [5, 6])
+def test_commute_packs_each_entry_once(monkeypatch, degree):
+    # one Kronecker layout for every column: each entry of A_1 and A_2 is
+    # packed once, not once per column that reads it
+    tables, _, _ = macops._A_matrices(degree, degree, F)
+    entries = {id(e) for j in (1, 2) for column in tables[j].values() for e in column.values()}
+    calls = []
+    real = ratfun._pack
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ratfun, "_pack", counted)
+    assert check_commute(1, 2, degree).passed()
+    assert 0 < len(calls) <= len(entries), (len(calls), len(entries))
 
 
 def test_commute_failure_names_the_entry(monkeypatch):
@@ -557,8 +612,6 @@ def test_caches_hold_no_zero_coefficients():
         if isinstance(value, dict):
             for k, v in value.items():
                 walk(v, path + (k,))
-        elif isinstance(value, GreenTable):
-            pass  # a dense table: X[lam, mu] = 0 is an entry
         elif not value:
             zeros.append(path)
 
