@@ -401,8 +401,8 @@ def _eigen_values(lam, field):
 
 
 def _A_k_equation(k, lam, field=SYMBOLIC):
-    """A_k J_lam = e_k(lam) J_lam as the two sides (A_k, J_lam, e_den) and
-    (diag e_k, J_lam, den) of `ratfun.first_unequal_row`, J_lam as
+    """A_k J_lam = e_k(lam) J_lam as the pair of sides (A_k, J_lam, e_den)
+    and (diag e_k, J_lam, den) of `ratfun.first_unequal_rows`, J_lam as
     `families._macdonald_degree` holds it.  The table of `_A_matrices` is
     over den and the split kept by `_eigen_values` over e_den; both carry
     q^-|lam|, which cancels.  A_k is 0 for k > |lam|, e_k for k > ell."""

@@ -531,8 +531,9 @@ def poly_divexact(a, b):
     return IntPoly2(_from_rec(_exact(_b_trial_div(_to_rec(a.terms), _to_rec(b.terms)))))
 
 
-def first_unequal_row(left, right, packed=None):
-    """The first row, in sorted order, where two sides differ, or None.  A
+def first_unequal_rows(pairs):
+    """For each pair (left, right) of sides, in order, the first row in
+    sorted order where the two sides differ, or None, yielded lazily.  A
     side (matrix, vec, n) stands for n sum_col matrix[col][row] vec[col].
 
     At a sample point the entries and the values of vec are ints, summed as
@@ -540,54 +541,34 @@ def first_unequal_row(left, right, packed=None):
     sum n x^a y^b, or of sum n q^a t^-b as the operator tables hold them:
     t -> 1/t only renames the second variable.  Each side of a row is then
     one int under the Kronecker ring map x^a y^b -> 2^(B (a - a0 + W (b - b0)))
-    (Harvey, arXiv:0712.4046), each distinct entry and vec packed once: W
-    exceeds each product's x-span and 2^B each coefficient of the row's
-    difference (`_layout`), so the packed difference is 0 only if the row's is.
-    packed, when given, maps the id of every entry and vec value of both
-    sides to its int at one such layout (`pack_products`), and no layout is
-    set here."""
-    sides = (left, right)
-    if packed is not None:
-        sides = [(matrix, {col: packed[id(x)] for col, x in vec.items()}, n) for matrix, vec, n in sides]
-    elif not isinstance(next((x for _, vec, _ in sides for x in vec.values()), 0), int):
-        entries, vecs, width, span, offset, vec_offset = _layout(sides)
-        packed = {key: _pack(e, width, span, offset) for key, e in entries.items()}
-        vecs = {key: {col: _pack(x, width, span, vec_offset) for col, x in vec.items()} for key, vec in vecs.items()}
-        sides = [(matrix, vecs[id(vec)], n) for matrix, vec, n in sides]
-    (m, lhs), (n, rhs) = ((n, _row_sums(matrix, vec, packed)) for matrix, vec, n in sides)
-    return next((row for row in sorted(lhs.keys() | rhs.keys()) if m * lhs.get(row, 0) != n * rhs.get(row, 0)), None)
+    (Harvey, arXiv:0712.4046), each distinct entry and vec value of all the
+    pairs packed once, at one layout (`_packing`).
 
-
-def pack_products(a, b):
-    """{id(e): packed e} over the entries e of two tables {col: {row: e}} of
-    Laurent dicts, at one layout for the rows of (a, b[mu], 1) against
-    (b, a[mu], 1) at every column mu, as `first_unequal_row` reads them.
-
-    Every entry is packed with the least exponents (a0, b0) of both tables,
+    Everything is packed with the least exponents (a0, b0) of all it packs,
     so a product of two lands at 2 (a0, b0), and its x-span is at most
     W - 1 = 2 (a1 - a0), a1 the greatest x-exponent: no two of its monomials
-    share a slot.  2^B exceeds, at every row of every column, the sum over
-    both sides of |entry| |vec[col]| (norms as sums of |coefficient|), which
-    bounds each coefficient of the row's difference.  So each slot s of the
-    packed difference holds one coefficient c_s, |c_s| < 2^B.  If some c_s
-    is not 0, take the least such s: the packed difference over 2^(B s) is
-    c_s plus a multiple of 2^B, which is not 0.  The packed difference is
-    therefore 0 only if the row's difference is.
-    """
-    norms = [{col: {row: _norm(e) for row, e in column.items()} for col, column in table.items()} for table in (a, b)]
-    width = 0
-    for mu in a.keys() | b.keys():
-        bound = _row_sums(norms[0], norms[1].get(mu, {}))
-        for row, n in _row_sums(norms[1], norms[0].get(mu, {})).items():
-            bound[row] = bound.get(row, 0) + n
-        width = max(width, max(bound.values(), default=0).bit_length())
-    entries = {id(e): e for table in (a, b) for column in table.values() for e in column.values()}
-    a0, a1, b0 = _box(entries.values())
-    return {key: _pack(e, width, 2 * (a1 - a0) + 1, (a0, b0)) for key, e in entries.items()}
+    share a slot.  2^B exceeds, at every row of every pair, the sum over
+    both sides of |n| |entry| |vec[col]| (norms as sums of |coefficient|),
+    which bounds each coefficient of the row's difference.  So each slot s
+    of the packed difference holds one coefficient c_s, |c_s| < 2^B.  If
+    some c_s is not 0, take the least such s: the packed difference over
+    2^(B s) is c_s plus a multiple of 2^B, which is not 0.  The packed
+    difference is therefore 0 only if the row's difference is.
+
+    pairs is a list held for the whole call: the packing is keyed by id,
+    which names one object only while every packed object is alive."""
+    packed = None
+    if not isinstance(next((x for pair in pairs for _, vec, _ in pair for x in vec.values()), 0), int):
+        packed = _packing(pairs)
+    for pair in pairs:
+        (m, lhs), (n, rhs) = ((n, _row_sums(matrix, vec, packed)) for matrix, vec, n in pair)
+        yield next((row for row in sorted(lhs.keys() | rhs.keys()) if m * lhs.get(row, 0) != n * rhs.get(row, 0)), None)
 
 
 def _row_sums(matrix, vec, packed=None):
-    # {row: sum_col matrix[col][row] vec[col]}, each entry read from packed by its id when given
+    # {row: sum_col matrix[col][row] vec[col]}, each entry and vec value read from packed by its id when given
+    if packed is not None:
+        vec = {col: packed[id(x)] for col, x in vec.items()}
     out = {}
     for col, x in vec.items():
         for row, e in matrix.get(col, {}).items():
@@ -595,21 +576,28 @@ def _row_sums(matrix, vec, packed=None):
     return out
 
 
-def _layout(sides):
-    # the distinct entries and vecs by id; B, 2^B above each row's sum over
-    # both sides of |n| |entry| |vec[col]|; W; the offsets of entries and of vecs
-    vecs = {id(vec): vec for _, vec, _ in sides}
-    vec_norms = {key: {col: _norm(x) for col, x in vec.items()} for key, vec in vecs.items()}
-    entries, norms, bound = {}, {}, {}
-    for matrix, vec, n in sides:
-        for col, x in vec_norms[id(vec)].items():
-            for row, e in matrix.get(col, {}).items():
-                key = id(e)
-                if key not in norms:
-                    entries[key], norms[key] = e, _norm(e)
-                bound[row] = bound.get(row, 0) + abs(n) * x * norms[key]
-    (a0, a1, b0), (c0, c1, d0) = _box(entries.values()), _box(x for vec in vecs.values() for x in vec.values())
-    return entries, vecs, max(bound.values(), default=0).bit_length(), a1 - a0 + c1 - c0 + 1, (a0, b0), (c0, d0)
+def _packing(pairs):
+    # {id(x): packed x} over every entry and vec value of the pairs: one
+    # offset (a0, b0), W = 2 (a1 - a0) + 1, and 2^B above each row's sum
+    # over both sides of |n| |entry| |vec[col]|, over every pair
+    polys, norms, width = {}, {}, 0
+
+    def norm(x):
+        key = id(x)
+        if key not in norms:
+            polys[key], norms[key] = x, _norm(x)
+        return norms[key]
+
+    for pair in pairs:
+        bound = {}
+        for matrix, vec, n in pair:
+            for col, x in vec.items():
+                scale = abs(n) * norm(x)
+                for row, e in matrix.get(col, {}).items():
+                    bound[row] = bound.get(row, 0) + scale * norm(e)
+        width = max(width, max(bound.values(), default=0).bit_length())
+    a0, a1, b0 = _box(polys.values())
+    return {key: _pack(x, width, 2 * (a1 - a0) + 1, (a0, b0)) for key, x in polys.items()}
 
 
 def _box(polys):

@@ -37,7 +37,7 @@ from .partitions import (
     t_factors,
     union,
 )
-from .ratfun import SYMBOLIC, first_unequal_row, pack_products
+from .ratfun import SYMBOLIC, first_unequal_rows
 from .symfun import (
     BiSymFun,
     NSymPoly,
@@ -87,15 +87,11 @@ def _first_difference(a, b):
 
 
 def _finish(name, params, t0, ok, witness=None):
-    if ok:
-        witness = None
-    elif witness is None:
-        witness = "mismatch"
     return CheckReport(
         name=name,
         parameters=params,
         status="pass" if ok else "fail",
-        witness=witness,
+        witness=None if ok else witness,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -276,15 +272,15 @@ def _nonzero(coeffs):
 
 def check_theorem_basic(k, lam, field=SYMBOLIC):
     """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam, a nonzero
-    multiple of M_lam, as the two sides of `macops._A_k_equation`, compared
-    row by row (`ratfun.first_unequal_row`).  Over Q(q,t) each row is two
-    Kronecker-packed ints, equal exactly when the row holds, with no gcd.
+    multiple of M_lam, as the one pair of sides of `macops._A_k_equation`,
+    compared row by row (`ratfun.first_unequal_rows`).  Over Q(q,t) each row
+    is two Kronecker-packed ints, equal exactly when the row holds, with no gcd.
     At a sample point each row is two int sums, each times the other
     side's denominator; a sample point certifies only itself."""
     t0 = time.perf_counter()
     lam = Partition(lam)
     params = {"k": k, "lam": tuple(lam)}
-    key = first_unequal_row(*macops._A_k_equation(k, lam, field))
+    key = next(first_unequal_rows([macops._A_k_equation(k, lam, field)]))
     if key is None:
         return _finish("theorem_basic", params, t0, True)
     return _finish("theorem_basic", params, t0, False, "eigen-equation fails at m[%s]" % format_partition(key))
@@ -295,20 +291,21 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     A_k and A_l are the eigenvalues e_k and e_l.
 
     Both read the integer tables of `macops._A_matrices` at N = degree.
-    Column mu of A_k A_l and of A_l A_k are compared row by row
-    (`ratfun.first_unequal_row`), both over the square of the tables' unit
-    (den, shift): over Q(q,t) on the ints of one Kronecker layout for every
-    column (`ratfun.pack_products`), each entry of A_k and A_l packed once;
-    at a sample point on int sums.  A diagonal entry of A_j and the split e_j
-    of `macops._eigen_values` both carry q^-degree; each is lifted with its
-    own denominator (`families._lift`) and the two are compared."""
+    Column mu of A_k A_l and of A_l A_k are compared row by row, both over
+    the square of the tables' unit (den, shift), in one call of
+    `ratfun.first_unequal_rows` with one pair of sides per column: over
+    Q(q,t) on the ints of one Kronecker layout for every column, each entry
+    of A_k and A_l packed once; at a sample point on int sums.  After each
+    column, a diagonal entry of A_j and the split e_j of
+    `macops._eigen_values` both carry q^-degree; each is lifted with its own
+    denominator (`families._lift`) and the two are compared."""
     t0 = time.perf_counter()
     params = {"k": k, "l": l, "degree": degree}
     tables, den, shift = macops._A_matrices(degree, degree, field)
     a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
-    packed = pack_products(a[k], a[l]) if field.is_symbolic else None
-    for mu in enumerate_partitions(degree):
-        nu = first_unequal_row((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1), packed)
+    mus = enumerate_partitions(degree)
+    pairs = [((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1)) for mu in mus]
+    for mu, nu in zip(mus, first_unequal_rows(pairs)):
         if nu is not None:
             return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
                            % (k, l, degree, format_partition(nu), format_partition(mu)))

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from qtsym.partitions import (
 )
 from qtsym.ratfun import SYMBOLIC, InexactDivision, IntPoly2, NumericField, RatFun, parse_ratfun, random_point
 from qtsym.symfun import (
+    NotDivisible,
     NSymPoly,
     SingularTransition,
     SymFun,
@@ -492,6 +494,26 @@ def test_green_degree_two_entries():
     assert gt.x(P(2), P(1, 1)) == rf("t-1")
     assert gt.x(P(1, 1), P(2)) == one
     assert gt.x(P(1, 1), P(1, 1)) == rf("1+t")
+
+
+def test_green_table_refuses_an_entry_outside_z_t(monkeypatch):
+    # an entry of transition_matrix("p", "P") times q is not in Z[t]; the
+    # memoised table itself is left as it is
+    real, before = symfun.transition_matrix, green_table(3)
+
+    def with_q(frm, to, degree, field=F):
+        table = real(frm, to, degree, field)
+        if (frm, to) != ("p", "P"):
+            return table
+        table = {lam: dict(row) for lam, row in table.items()}
+        table[P(2, 1)][P(2, 1)] = table[P(2, 1)][P(2, 1)] * F.q
+        return table
+
+    monkeypatch.setattr(symfun, "transition_matrix", with_q)
+    with pytest.raises(NotDivisible, match=re.escape("Green coefficient X[(2, 1),(2, 1)] leaves Z[t]")):
+        green_table(3)
+    monkeypatch.undo()
+    assert green_table(3) == before
 
 
 def test_green_t_zero_gives_characters():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qtsym import ratfun
 from qtsym.ratfun import (
     SYMBOLIC,
     DivisionByZero,
@@ -21,7 +22,7 @@ from qtsym.ratfun import (
     R_Q,
     R_T,
     R_ZERO,
-    first_unequal_row,
+    first_unequal_rows,
     format_ratfun,
     parse_ratfun,
     poly_gcd,
@@ -378,18 +379,21 @@ def test_remainder_sequences_match_sympy():
 # Kronecker-packed row comparison
 
 
-def _packed_sides(sides, narrower):
-    # {row: (lhs, rhs)} packed at the layout of `_layout`, with its bit width
-    # B and its slot span W each made narrower by the given amounts
-    from qtsym.ratfun import _layout, _pack
-
-    _, _, width, span, left, right = _layout(sides)
+def _packed_sides(monkeypatch, sides, narrower):
+    # {row: (lhs, rhs)} packed at the layout `_packing` takes for the one
+    # pair, with its bit width B and its slot span W each made narrower by
+    # the given amounts
+    layouts = set()
+    real = ratfun._pack
+    monkeypatch.setattr(ratfun, "_pack", lambda poly, *layout: layouts.add(layout) or real(poly, *layout))
+    ratfun._packing([sides])
+    (width, span, offset), = layouts
     width, span = width - narrower[0], span - narrower[1]
     out = [{} for _ in sides]
     for total, (matrix, vec, n) in zip(out, sides):
         for col, x in vec.items():
             for row, entry in matrix.get(col, {}).items():
-                total[row] = total.get(row, 0) + n * _pack(entry, width, span, left) * _pack(x, width, span, right)
+                total[row] = total.get(row, 0) + n * real(entry, width, span, offset) * real(x, width, span, offset)
     return {row: (out[0].get(row, 0), out[1].get(row, 0)) for row in out[0].keys() | out[1].keys()}
 
 
@@ -398,24 +402,35 @@ def _packed_sides(sides, narrower):
     ((1, 0), {0: {0: {(0, 0): 2 ** 5}}}, {0: {(0, 0): 1}}, {(1, 0): 1}, 0),
     ((1, 0), {0: {0: {(0, 0): -2 ** 40}}}, {0: {(0, 0): 1}}, {(1, 0): -1}, 0),
     ((1, 0), {0: {0: {(-2, 1): 2 ** 9}}}, {0: {(3, -1): 1}}, {(-1, 1): 1}, 0),
-    # q^2 against t: the q-span 2 overflows into the next t slot at W - 1
-    ((0, 1), {0: {0: {(2, 0): 1}}}, {0: {(0, 0): 1}}, {(0, 1): 1}, 0),
-    ((0, 1), {0: {0: {(-1, -2): 1}}}, {0: {(4, 4): -3}}, {(-3, -1): 1}, 0),
+    # q q against t 1 at two columns: the product's q-span 2 (a1 - a0)
+    # overflows into the next t slot at W - 1
+    ((0, 1), {1: {0: {(1, 0): 1}}}, {0: {(0, 0): 1}, 1: {(1, 0): 1}}, {(0, 1): 1}, 0),
+    # the same shifted by monomials, with negative exponents: a0 = -3, a1 = 4
+    ((0, 1), {1: {0: {(4, -2): 1}}}, {0: {(-3, 4): -3}, 1: {(4, 4): -3}}, {(-3, -1): 1}, 0),
     # the first row agrees, the second aliases at W - 1
-    ((0, 1), {0: {0: {(0, 1): 1}, 1: {(2, 0): 1}}}, {0: {(0, 0): 1}, 1: {(0, 0): 1}}, {(0, 1): 1}, 1),
+    ((0, 1), {0: {0: {(0, 1): 1}, 1: {(1, 0): 1}}}, {0: {(1, 0): 1}, 1: {(0, 0): 1}}, {(0, 1): 1}, 1),
     # 2 * 2^4 against q, the left side factor n = 2 given with the matrix:
     # the norms alone, 2^4 + 1, give B - 1 = 5, where both pack to 2^5;
     # only |n| = 2 in the bound keeps them apart
     ((1, 0), ({0: {0: {(0, 0): 2 ** 4}}}, 2), {0: {(0, 0): 1}}, {(1, 0): 1}, 0),
 ])
-def test_packing_tells_apart_what_a_narrower_packing_aliases(narrower, matrix, vec, scalar, row):
+def test_packing_tells_apart_what_a_narrower_packing_aliases(monkeypatch, narrower, matrix, vec, scalar, row):
     # n sum_col matrix[col][row] vec[col] against scalar vec[row], n = 1
     # unless the matrix comes as (matrix, n)
     matrix, n = matrix if isinstance(matrix, tuple) else (matrix, 1)
     sides = (matrix, vec, n), ({col: {col: scalar} for col in vec}, vec, 1)
-    assert first_unequal_row(*sides) == row
-    lhs, rhs = _packed_sides(sides, narrower)[row]
+    assert list(first_unequal_rows([sides])) == [row]
+    lhs, rhs = _packed_sides(monkeypatch, sides, narrower)[row]
     assert lhs == rhs
+
+
+def test_one_layout_takes_the_widest_pair():
+    # 2^5 against q needs B = 6; behind a pair whose own bound, 15 + 15,
+    # needs only B = 5, it is still told apart, and so is each pair behind it
+    small = ({0: {0: {(0, 0): 15}}}, {0: {(0, 0): 1}}, 1), ({0: {0: {(0, 0): 15}}}, {0: {(0, 0): 1}}, 1)
+    wide = ({0: {0: {(0, 0): 2 ** 5}}}, {0: {(0, 0): 1}}, 1), ({0: {0: {(1, 0): 1}}}, {0: {(0, 0): 1}}, 1)
+    assert list(first_unequal_rows([small, wide, small])) == [None, 0, None]
+    assert list(first_unequal_rows([wide, small])) == [0, None]
 
 
 def _laurent(rng, terms, constant=False):
@@ -506,7 +521,7 @@ def test_packed_rows_match_dict_arithmetic():
     # take both signs, coefficients reach 70 bits, and entries, vec rows and
     # the diagonal may be empty
     rng = random.Random(20261019)
-    outcomes = []
+    outcomes, cases = [], {False: [], True: []}
     for trial in range(600):
         constant = trial % 4 >= 2
         n = rng.randint(1, 4)
@@ -519,12 +534,27 @@ def test_packed_rows_match_dict_arithmetic():
                 entry = side[0].setdefault(rng.randrange(n), {}).setdefault(rng.randrange(n), {})
                 _laurent_axpy(entry, _laurent(rng, 1, constant), {(0, 0): 1})
         want = _first_unequal_row_by_dicts(left, right)
-        got = first_unequal_row(*(map(_to_ints, (left, right)) if constant else (left, right)))
+        pair = tuple(map(_to_ints, (left, right))) if constant else (left, right)
+        got, = first_unequal_rows([pair])
         assert got == want, (left, right, constant)
         outcomes.append((trial % 4, got))
+        cases[constant].append((pair, got))
     for kind in range(4):
         rows = [row for k, row in outcomes if k == kind]
         assert rows.count(None) > 30 and len(set(rows)) == 5, (kind, rows)
+    # several pairs in one call, at one layout: both side factors of some
+    # pairs scaled by up to 2^300, so the coefficient sizes of one call
+    # differ by hundreds of bits; each pair gets its own result
+    for pool in cases.values():
+        rng.shuffle(pool)
+        while pool:
+            size = rng.randint(2, 8)
+            group, pool = pool[:size], pool[size:]
+            pairs = []
+            for (left, right), _ in group:
+                c = 2 ** rng.choice((0, 0, rng.randint(1, 300)))
+                pairs.append(((left[0], left[1], c * left[2]), (right[0], right[1], c * right[2])))
+            assert list(first_unequal_rows(pairs)) == [got for _, got in group], pairs
 
 
 def test_numeric_field_hashes_once(monkeypatch):

@@ -8,6 +8,7 @@ from qtsym.partitions import Partition, conjugate, dominates, enumerate_partitio
 from qtsym.ratfun import SYMBOLIC, parse_ratfun, random_point
 from qtsym.symfun import (
     BasisMismatch,
+    BiSymFun,
     NotAlternating,
     NotSymmetric,
     NSymPoly,
@@ -368,3 +369,29 @@ def test_kostka_numbers_classical():
             assert row.get(P(*[1] * d)) == F.from_int(_hook_count(nu)), nu
             assert row[nu] == one, nu
             assert all(dominates(nu, mu) for mu in row), nu
+
+
+def test_equal_symfuns_hash_equal_and_key_a_dict():
+    # equal up to the order of insertion, an explicit zero and the degree bound
+    a = SymFun("m", {(2, 1): rf("q"), (3,): rf("1/(1-t)")}, 3)
+    b = SymFun("m", {(1, 1, 1): F.zero, (3,): rf("1/(1-t)"), (2, 1): rf("q")}, 4)
+    assert a == b and hash(a) == hash(b)
+    table = {a: "a"}
+    assert table[b] == "a"
+    table[SymFun("p", a.coeffs, 3)] = "p"
+    table[a.scale(rf("t"))] = "t a"
+    assert len(table) == 3 and table[b] == "a"
+
+
+def test_bisymfun_sum_difference_and_scale():
+    x = BiSymFun({((1,), (1,)): one, ((2,), ()): rf("q")}, 2)
+    y = BiSymFun({((1,), (1,)): rf("t"), ((1, 1), (1, 1)): one}, 3)
+    total = x + y
+    assert total.degree_bound == 3
+    assert total.coeffs == {(P(1), P(1)): rf("1+t"), (P(2), P()): rf("q"), (P(1, 1), P(1, 1)): one}
+    difference = total - y
+    assert difference.degree_bound == 3 and difference.coeffs == x.coeffs
+    assert (x - x).coeffs == {}
+    scaled = x.scale(rf("1-q"))
+    assert scaled.degree_bound == 2 and scaled.coeffs == {(P(1), P(1)): rf("1-q"), (P(2), P()): rf("q-q^2")}
+    assert x.scale(F.zero).coeffs == {} and x.scale(F.zero).degree_bound == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import random
@@ -93,6 +94,64 @@ def test_green_check():
     for d in (1, 2, 3):
         report = check_green(d)
         assert report.passed(), (d, report.witness)
+
+
+def _scaled_hl(mu, c):
+    # verify.hall_littlewood with Q_mu scaled by c
+    real = verify.hall_littlewood
+    return lambda lam, kind, field=F: real(lam, kind, field=field).scale(c if (lam, kind) == (mu, "Q") else F.one)
+
+
+def test_hl_cauchy_failure_names_the_term(monkeypatch):
+    monkeypatch.setattr(verify, "hall_littlewood", _scaled_hl(P(2, 1), F.from_int(2)))
+    assert check_hl_cauchy(3).witness == "p(1, 1, 1) (x) p(1, 1, 1)"
+
+
+def _scaled_green_column(mu, c):
+    # verify.green_table with column mu scaled by c
+    real = verify.green_table
+
+    def scaled(degree, field=F):
+        entries = real(degree, field).entries
+        return families.GreenTable(degree, {key: x * c if key[1] == mu else x for key, x in entries.items()})
+    return scaled
+
+
+def _changed(real, at, **changes):
+    # real with the given fields of its value at the partition `at` (at
+    # every partition when at is None) replaced by functions of their old values
+    def changed(lam, **kwargs):
+        value = real(lam, **kwargs)
+        if at is not None and lam != at:
+            return value
+        return dataclasses.replace(value, **{name: f(getattr(value, name)) for name, f in changes.items()})
+    return changed
+
+
+@pytest.mark.parametrize("patch, witness", [
+    # z_t at (1,1,1) doubled
+    (lambda: {"t_factors": _changed(verify.t_factors, P(1, 1, 1), z_t=lambda z: z * F.from_int(2))},
+     "orthogonality fails at mu=(3,) nu=(3,)"),
+    (lambda: {"hall_littlewood": _scaled_hl(P(2, 1), F.from_int(2))}, "row expansion fails at mu=(2, 1)"),
+    # column (2,1) and Q_(2,1) times q, b at (2,1) times q^2: both identities
+    # above still hold
+    (lambda: {"green_table": _scaled_green_column(P(2, 1), F.q),
+              "t_factors": _changed(verify.t_factors, P(2, 1), b=lambda b: b * F.q * F.q),
+              "hall_littlewood": _scaled_hl(P(2, 1), F.q)},
+     "X[(3,),(2, 1)] leaves Z[t]"),
+    (lambda: {"green_table": _scaled_green_column(P(2, 1), -F.one), "hall_littlewood": _scaled_hl(P(2, 1), -F.one)},
+     "X[(3,),(2, 1)] is not monic"),
+    # n(mu) one too large in every column
+    (lambda: {"stats": _changed(verify.stats, None, n_stat=lambda n: n + 1)},
+     "max t-degree in column (3,) is 0, not 1"),
+    (lambda: {"stats": _changed(verify.stats, P(1, 1, 1), z=lambda z: 2 * z)},
+     "character orthogonality fails at mu=(3,) nu=(3,)"),
+])
+def test_green_failures_name_the_witness(monkeypatch, patch, witness):
+    for name, value in patch().items():
+        monkeypatch.setattr(verify, name, value)
+    report = check_green(3)
+    assert (report.status, report.witness) == ("fail", witness)
 
 
 def test_deigen_examples():
@@ -597,6 +656,14 @@ def test_proposition_reports_failed_decomposition(monkeypatch):
     report = check_proposition(3, P(2, 1))
     assert not report.passed()
     assert report.witness.startswith("slot decomposition of the alternant F(mu=(2, 1), n=0, N=3)")
+
+
+def test_proposition_names_a_surviving_monomial(monkeypatch):
+    # every phi doubled: the decompositions hold, the combination does not vanish
+    real = verify.morris_phi
+    monkeypatch.setattr(verify, "morris_phi", lambda lam, mu, field=F: real(lam, mu, field) * F.from_int(2))
+    report = check_proposition(3, P(2, 1))
+    assert (report.status, report.witness) == ("fail", "monomial (1, 2, 3) survives with (-1+t^2)")
 
 
 def test_caches_hold_no_zero_coefficients():
