@@ -282,16 +282,14 @@ def _dn_denominator(degree, N, field):
 def _lift(entry, den, field, shift=0, common=None):
     """One integer table entry over the field, q^shift times its value over
     den (and over common when given): at a sample point an int lifted to a
-    Fraction; over Q(q,t) an integer dict {(a, i): n} of sum n q^a t^-i,
-    den = 1, lifted over a monomial with no gcd unless common is given."""
+    Fraction; over Q(q,t) a zero-free integer dict {(a, i): n} of
+    sum n q^a t^-i, den = 1, lifted over a monomial with no gcd unless
+    common is given."""
     if not entry:
         return field.zero
     if not field.is_symbolic:
         n, d = (field.q ** shift).as_integer_ratio()
         return Fraction(entry * n, den * d * (common or 1))
-    entry = {key: n for key, n in entry.items() if n}
-    if not entry:
-        return field.zero
     # reduced over q^-low t^high: a term lacks q if low < 0, one lacks t if high > 0
     low = min(0, min(a for a, _ in entry) + shift)
     high = max(0, max(i for _, i in entry))

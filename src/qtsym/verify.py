@@ -4,12 +4,16 @@ orthogonality, finite-N eigen-equations, the stable-operator expansion,
 the q-commutator step relations, the finite-N symbol identity, and the
 vanishing of the alternant combination behind it.
 
-Every check is a pure function returning a CheckReport; the suite runner
-serialises reports as JSON lines with a trailing summary object.
+Every check is a body decorated by `_check`: the body computes and
+compares, and returns None when its identity holds or a witness string
+naming the first failure; the decorator times the body and returns the
+CheckReport.  The suite runner serialises reports as JSON lines with a
+trailing summary object.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass
@@ -86,14 +90,21 @@ def _first_difference(a, b):
     return None
 
 
-def _finish(name, params, t0, ok, witness=None):
-    return CheckReport(
-        name=name,
-        parameters=params,
-        status="pass" if ok else "fail",
-        witness=None if ok else witness,
-        elapsed=time.perf_counter() - t0,
-    )
+def _check(name, params):
+    """Turn a check body into a check: the body returns None when its
+    identity holds and the witness of the first failure otherwise; the check
+    returns the CheckReport `name`, with parameters params(*args, **kwargs)
+    and the body's time as elapsed."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs):
+            t0 = time.perf_counter()
+            witness = body(*args, **kwargs)
+            elapsed = time.perf_counter() - t0
+            status = "pass" if witness is None else "fail"
+            return CheckReport(name, params(*args, **kwargs), status, witness, elapsed)
+        return check
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +144,8 @@ def hl_kernel(degree_bound, field=SYMBOLIC):
     )
 
 
+@_check("kernel_lemma", lambda f, degree_bound, label=None, field=None:
+        {"f": label or repr(f), "degree_bound": degree_bound})
 def check_kernel_lemma(f, degree_bound, label=None, field=SYMBOLIC):
     """f*(Pi) = f(y) Pi, in truncation to the given order.
 
@@ -141,24 +154,19 @@ def check_kernel_lemma(f, degree_bound, label=None, field=SYMBOLIC):
     components of x-degree a and y-degree a + j, j a degree of f, with
     a + j <= degree_bound + deg f.
     """
-    t0 = time.perf_counter()
-    params = {"f": label or repr(f), "degree_bound": degree_bound}
     k = f.max_degree()
     big = kernel_pi(degree_bound + k, field)
     fp = convert(f, "p")
     empty = Partition()
     expected = BiSymFun({(empty, mu): c for mu, c in fp.coeffs.items()}, degree_bound + k, field)
     key = _first_difference(big.adjoint_x(f).coeffs, (expected * big).coeffs)
-    if key is None:
-        return _finish("kernel_lemma", params, t0, True)
-    return _finish("kernel_lemma", params, t0, False,
-                   "first mismatch at p%s (x) p%s" % (tuple(key[0]), tuple(key[1])))
+    if key is not None:
+        return "first mismatch at p%s (x) p%s" % (tuple(key[0]), tuple(key[1]))
 
 
+@_check("hl_cauchy", lambda degree, field=None: {"degree": degree})
 def check_hl_cauchy(degree, field=SYMBOLIC):
     """Degree component of the Cauchy kernel equals sum of Q (x) P."""
-    t0 = time.perf_counter()
-    params = {"degree": degree}
     lhs = hl_kernel(degree, field).component(degree, degree)
     coeffs = {}
     for lam in enumerate_partitions(degree):
@@ -169,17 +177,15 @@ def check_hl_cauchy(degree, field=SYMBOLIC):
                 coeffs[(a, b)] = coeffs.get((a, b), field.zero) + ca * cb
     rhs = BiSymFun(coeffs, degree, field)
     key = _first_difference(lhs.coeffs, rhs.coeffs)
-    if key is None:
-        return _finish("hl_cauchy", params, t0, True)
-    return _finish("hl_cauchy", params, t0, False, "p%s (x) p%s" % (tuple(key[0]), tuple(key[1])))
+    if key is not None:
+        return "p%s (x) p%s" % (tuple(key[0]), tuple(key[1]))
 
 
 # ---------------------------------------------------------------------------
 # Green orthogonality
 
+@_check("green", lambda degree, field=None: {"degree": degree})
 def check_green(degree, field=SYMBOLIC):
-    t0 = time.perf_counter()
-    params = {"degree": degree}
     gt = green_table(degree, field)
     lams = enumerate_partitions(degree)
     z_t = {lam: t_factors(lam, field=field).z_t for lam in lams}
@@ -191,14 +197,12 @@ def check_green(degree, field=SYMBOLIC):
                 total = total + gt.x(lam, mu) * gt.x(lam, nu) / z_t[lam]
             expected = b[mu] if mu == nu else field.zero
             if total != expected:
-                return _finish("green", params, t0, False,
-                               "orthogonality fails at mu=%s nu=%s" % (tuple(mu), tuple(nu)))
+                return "orthogonality fails at mu=%s nu=%s" % (tuple(mu), tuple(nu))
     for mu in lams:
         got = SymFun("p", {lam: gt.x(lam, mu) / z_t[lam] for lam in lams}, degree, field)
         expected = convert(hall_littlewood(mu, "Q", field=field), "p")
         if got != expected:
-            return _finish("green", params, t0, False,
-                           "row expansion fails at mu=%s" % (tuple(mu),))
+            return "row expansion fails at mu=%s" % (tuple(mu),)
     if field.is_symbolic:
         for mu in lams:
             n_mu = stats(mu).n_stat
@@ -208,36 +212,29 @@ def check_green(degree, field=SYMBOLIC):
                 if not x:
                     continue
                 if not (x.den == 1 and x.num.max_deg_q() == 0):
-                    return _finish("green", params, t0, False,
-                                   "X[%s,%s] leaves Z[t]" % (tuple(lam), tuple(mu)))
+                    return "X[%s,%s] leaves Z[t]" % (tuple(lam), tuple(mu))
                 d = x.num.max_deg_t()
                 top = max(top, d)
                 if d == n_mu and x.num.terms.get((0, n_mu)) != 1:
-                    return _finish("green", params, t0, False,
-                                   "X[%s,%s] is not monic" % (tuple(lam), tuple(mu)))
+                    return "X[%s,%s] is not monic" % (tuple(lam), tuple(mu))
             if top != n_mu:
-                return _finish("green", params, t0, False,
-                               "max t-degree in column %s is %d, not %d" % (tuple(mu), top, n_mu))
-        # characters at t = 0: plain orthogonality of the symmetric group
+                return "max t-degree in column %s is %d, not %d" % (tuple(mu), top, n_mu)
+        # characters at t = 0: plain orthogonality of the symmetric group;
+        # every X lies in Z[t] (checked above), so X(0) is its constant term
         for mu in lams:
             for nu in lams:
                 total = Fraction(0)
                 for lam in lams:
-                    a = gt.x(lam, mu).specialize(t=0)
-                    c = gt.x(lam, nu).specialize(t=0)
-                    total += Fraction(a.num.const_value(), a.den.const_value()) * Fraction(
-                        c.num.const_value(), c.den.const_value()
-                    ) / stats(lam).z
+                    total += Fraction(gt.x(lam, mu).num.const_value() * gt.x(lam, nu).num.const_value(),
+                                      stats(lam).z)
                 if total != (1 if mu == nu else 0):
-                    return _finish("green", params, t0, False,
-                                   "character orthogonality fails at mu=%s nu=%s"
-                                   % (tuple(mu), tuple(nu)))
-    return _finish("green", params, t0, True)
+                    return "character orthogonality fails at mu=%s nu=%s" % (tuple(mu), tuple(nu))
 
 
 # ---------------------------------------------------------------------------
 # finite-N eigen-equations and the stable-operator expansion
 
+@_check("deigen", lambda N, lam, field=None: {"N": N, "lam": tuple(Partition(lam))})
 def check_deigen(N, lam, field=SYMBOLIC):
     """D_N(u) M_lam = prod_i (1 - u q^(lam_i) t^(1-i)) M_lam in N variables,
     power by power of u, run on J_lam = c_lam M_lam (equivalent, c_lam != 0).
@@ -250,9 +247,7 @@ def check_deigen(N, lam, field=SYMBOLIC):
     (`families._dn_table`) that J_lam was solved from, so it cannot fail
     there; that table's independent oracle is the explicit alternant of the
     tests (`tests/test_macops.py::_apply_DN_reference`)."""
-    t0 = time.perf_counter()
     lam = Partition(lam)
-    params = {"N": N, "lam": tuple(lam)}
     f = restrict(SymFun("m", dict(families._macdonald_integral(lam, field)), sum(lam), field), N)
     coeffs = macops.apply_DN(f)
     padded = list(lam) + [0] * (N - len(lam))
@@ -262,14 +257,14 @@ def check_deigen(N, lam, field=SYMBOLIC):
     expect = macops._apply_tables(f, lambda *_: (diagonal, den, 0))
     for k in range(N + 1):
         if coeffs[k] != expect[k]:
-            return _finish("deigen", params, t0, False, "u-power %d differs" % k)
-    return _finish("deigen", params, t0, True)
+            return "u-power %d differs" % k
 
 
 def _nonzero(coeffs):
     return {key: c for key, c in coeffs.items() if c}
 
 
+@_check("theorem_basic", lambda k, lam, field=None: {"k": k, "lam": tuple(Partition(lam))})
 def check_theorem_basic(k, lam, field=SYMBOLIC):
     """A_k M_lam = e_k(lam) M_lam on monomials, run on J_lam, a nonzero
     multiple of M_lam, as the one pair of sides of `macops._A_k_equation`,
@@ -277,15 +272,12 @@ def check_theorem_basic(k, lam, field=SYMBOLIC):
     is two Kronecker-packed ints, equal exactly when the row holds, with no gcd.
     At a sample point each row is two int sums, each times the other
     side's denominator; a sample point certifies only itself."""
-    t0 = time.perf_counter()
-    lam = Partition(lam)
-    params = {"k": k, "lam": tuple(lam)}
-    key = next(first_unequal_rows([macops._A_k_equation(k, lam, field)]))
-    if key is None:
-        return _finish("theorem_basic", params, t0, True)
-    return _finish("theorem_basic", params, t0, False, "eigen-equation fails at m[%s]" % format_partition(key))
+    key = next(first_unequal_rows([macops._A_k_equation(k, Partition(lam), field)]))
+    if key is not None:
+        return "eigen-equation fails at m[%s]" % format_partition(key)
 
 
+@_check("commute", lambda k, l, degree, field=None: {"k": k, "l": l, "degree": degree})
 def check_commute(k, l, degree, field=SYMBOLIC):
     """[A_k, A_l] = 0 on the monomials of one degree, and the diagonals of
     A_k and A_l are the eigenvalues e_k and e_l.
@@ -299,26 +291,24 @@ def check_commute(k, l, degree, field=SYMBOLIC):
     column, a diagonal entry of A_j and the split e_j of
     `macops._eigen_values` both carry q^-degree; each is lifted with its own
     denominator (`families._lift`) and the two are compared."""
-    t0 = time.perf_counter()
-    params = {"k": k, "l": l, "degree": degree}
     tables, den, shift = macops._A_matrices(degree, degree, field)
     a = {j: tables[j] if j < len(tables) else {} for j in (k, l)}
     mus = enumerate_partitions(degree)
     pairs = [((a[k], a[l].get(mu, {}), 1), (a[l], a[k].get(mu, {}), 1)) for mu in mus]
     for mu, nu in zip(mus, first_unequal_rows(pairs)):
         if nu is not None:
-            return _finish("commute", params, t0, False, "[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
-                           % (k, l, degree, format_partition(nu), format_partition(mu)))
+            return ("[A_%d, A_%d] at degree %d: row m[%s], column m[%s]"
+                    % (k, l, degree, format_partition(nu), format_partition(mu)))
         eigen, e_den = macops._eigen_values(mu, field)
         for j in (k, l):
             # e_j vanishes for j > ell(mu)
             e = eigen[j] if j < len(eigen) else None
             if families._lift(a[j].get(mu, {}).get(mu), den, field, shift) != families._lift(e, e_den, field, shift):
-                return _finish("commute", params, t0, False, "diagonal of A_%d at degree %d: row m[%s], column m[%s]"
-                               % (j, degree, format_partition(mu), format_partition(mu)))
-    return _finish("commute", params, t0, True)
+                return ("diagonal of A_%d at degree %d: row m[%s], column m[%s]"
+                        % (j, degree, format_partition(mu), format_partition(mu)))
 
 
+@_check("symbol", lambda degree, max_k, field=None: {"degree": degree, "max_k": max_k})
 def check_symbol(degree, max_k, field=SYMBOLIC):
     """For 1 <= k <= max_k, the matrix of A_k on the monomials of one
     degree against the paper's symbol (the Hall-Littlewood operator sum
@@ -330,17 +320,14 @@ def check_symbol(degree, max_k, field=SYMBOLIC):
     table, so that comparison could not fail and is not made.  The
     independent oracle of that table is the explicit alternant of the
     tests (`tests/test_macops.py::_apply_DN_reference`)."""
-    t0 = time.perf_counter()
-    params = {"degree": degree, "max_k": max_k}
     matrices = {k: macops.A_k_matrix(k, degree, field) for k in range(1, max_k + 1)}
     for mu in enumerate_partitions(degree):
         m_mu = SymFun.generator("m", mu, field=field)
         for k, matrix in matrices.items():
             nu = _first_difference(_nonzero(convert(macops.A_k_apply(k, m_mu), "m").coeffs), matrix[mu])
             if nu is not None:
-                return _finish("symbol", params, t0, False,
-                               "A_%d against its symbol at degree %d: row m[%s], column m[%s]"
-                               % (k, degree, format_partition(nu), format_partition(mu)))
+                return ("A_%d against its symbol at degree %d: row m[%s], column m[%s]"
+                        % (k, degree, format_partition(nu), format_partition(mu)))
         for N in range(len(mu), degree + 2):
             if N == degree:
                 continue
@@ -350,12 +337,11 @@ def check_symbol(degree, max_k, field=SYMBOLIC):
                 nu = _first_difference(got.coeffs if got else {},
                                        {nu: c for nu, c in matrix[mu].items() if len(nu) <= N})
                 if nu is not None:
-                    return _finish("symbol", params, t0, False,
-                                   "A_%d against A_N at N=%d, degree %d: row m[%s], column m[%s]"
-                                   % (k, N, degree, format_partition(nu), format_partition(mu)))
-    return _finish("symbol", params, t0, True)
+                    return ("A_%d against A_N at N=%d, degree %d: row m[%s], column m[%s]"
+                            % (k, N, degree, format_partition(nu), format_partition(mu)))
 
 
+@_check("corollary", lambda mu, field=None: {"mu": tuple(Partition(mu))})
 def check_corollary(mu, field=SYMBOLIC):
     """The q-commutator step relations on M_mu as identities in u:
     p1 A(u) - q A(u) p1 = -u B(u) (1-q)/(1-t) (raising) and
@@ -368,9 +354,7 @@ def check_corollary(mu, field=SYMBOLIC):
     lowering side is the same with C_j and no factor.  The 1/(u;1/t)_k are
     linearly independent, so equal terms on monomials mean equal functions
     of u."""
-    t0 = time.perf_counter()
     mu = Partition(mu)
-    params = {"mu": tuple(mu)}
     m_mu = macdonald_M(mu, field=field)
     e_mu = A_k_eigen(mu, field)
     # each neighbour nu carries its Pieri coefficient and the eigenvalues
@@ -396,9 +380,7 @@ def check_corollary(mu, field=SYMBOLIC):
                 axpy(rhs, pieces[k - 1], -factor * field.t ** (k - 1))
             nu = _first_difference(_nonzero(lhs), _nonzero(rhs))
             if nu is not None:
-                return _finish("corollary", params, t0, False, "%s side, 1/(u;1/t)_%d term: m[%s] differs"
-                               % (side, k, format_partition(nu)))
-    return _finish("corollary", params, t0, True)
+                return "%s side, 1/(u;1/t)_%d term: m[%s] differs" % (side, k, format_partition(nu))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +445,10 @@ def _validate_alternant_decomposition(mu, n, N, total, field):
             % (tuple(mu), n, N, e))
 
 
+@_check("proposition", lambda N, lam, field=None: {"N": N, "lam": tuple(Partition(lam))})
 def check_proposition(N, lam, field=SYMBOLIC):
     """The signed alternant combination vanishes identically."""
-    t0 = time.perf_counter()
     lam = Partition(lam)
-    params = {"N": N, "lam": tuple(lam)}
     ell = len(lam)
     if not (0 < ell < N):
         raise ValueError("need 0 < len(lam) < N")
@@ -476,17 +457,13 @@ def check_proposition(N, lam, field=SYMBOLIC):
         for mu in _interlacing(lam, 1):
             if mu == tuple(lam):
                 continue
-            phi = morris_phi(lam, mu, field)
-            if not phi:
-                continue
             n = sum(lam) - sum(mu)
-            total = total + alternant_F(mu, n, N, field).scale(phi)
+            total = total + alternant_F(mu, n, N, field).scale(morris_phi(lam, mu, field))
     except DecompositionMismatch as exc:
-        return _finish("proposition", params, t0, False, str(exc))
-    if total.is_zero():
-        return _finish("proposition", params, t0, True)
-    e = min(total.coeffs)
-    return _finish("proposition", params, t0, False, "monomial %s survives with %s" % (e, total.coeffs[e]))
+        return str(exc)
+    if not total.is_zero():
+        e = min(total.coeffs)
+        return "monomial %s survives with %s" % (e, total.coeffs[e])
 
 
 def _interlacing(lam, low):
@@ -496,11 +473,10 @@ def _interlacing(lam, low):
     return [Partition(x for x in mu if x) for mu in product(*ranges)]
 
 
+@_check("decomposition", lambda lam, N, i, field=None: {"lam": tuple(Partition(lam)), "N": N, "i": i})
 def check_decomposition(lam, N, i, field=SYMBOLIC):
     """Peeling one variable off a Hall-Littlewood Q polynomial."""
-    t0 = time.perf_counter()
     lam = Partition(lam)
-    params = {"lam": tuple(lam), "N": N, "i": i}
     if len(lam) > N or not (1 <= i <= N):
         raise ValueError("need len(lam) <= N and a variable index in range")
     b_lam = t_factors(lam, field=field).b
@@ -509,15 +485,13 @@ def check_decomposition(lam, N, i, field=SYMBOLIC):
     for mu in _interlacing(lam, 0):
         if len(mu) >= N:
             continue
-        phi = morris_phi(lam, mu, field)
-        if not phi:
-            continue
         n = sum(lam) - sum(mu)
         b_mu = t_factors(mu, field=field).b
         block = _embed_skip(expand_x(hl_alternant(mu, N - 1, field)), N, i - 1).scale(b_mu)
-        rhs = rhs + XPoly(N, {_slot(N, i - 1, n): phi}, field) * block
-    ok = lhs == rhs
-    return _finish("decomposition", params, t0, ok, "expansion differs")
+        rhs = rhs + XPoly(N, {_slot(N, i - 1, n): morris_phi(lam, mu, field)}, field) * block
+    e = _first_difference(lhs.coeffs, rhs.coeffs)
+    if e is not None:
+        return "expansion differs at monomial %s" % (e,)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +520,7 @@ def _ts_mul(a, b, xcap, ycap):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
+@_check("finite_symbol", lambda N, degree_bound, field=None: {"N": N, "degree_bound": degree_bound})
 def check_finite_symbol(N, degree_bound, field=SYMBOLIC):
     """Determinant symbol over the x alphabet against the length-graded
     expansion in Hall-Littlewood pairs, as an identity in u.
@@ -554,8 +529,6 @@ def check_finite_symbol(N, degree_bound, field=SYMBOLIC):
     identity det / a_delta = sum_lam b_lam Q_lam(x) P_lam(y)
     prod_(ell(lam) <= j < N) (1 - u t^-j), compared power by power of u.
     """
-    t0 = time.perf_counter()
-    params = {"N": N, "degree_bound": degree_bound}
     D = degree_bound
     xcap = D + N * (N - 1) // 2
     rows = families.q_row_series(D, field) if D >= 1 else []
@@ -606,9 +579,7 @@ def check_finite_symbol(N, degree_bound, field=SYMBOLIC):
     rhs = {k: v for k, v in rhs.items() if not v.is_zero()}
     key = _first_difference(lhs, rhs)
     if key is not None:
-        return _finish("finite_symbol", params, t0, False,
-                       "u^%d, y-component p%s differs" % (key[1], tuple(key[0])))
-    return _finish("finite_symbol", params, t0, True)
+        return "u^%d, y-component p%s differs" % (key[1], tuple(key[0]))
 
 
 # ---------------------------------------------------------------------------

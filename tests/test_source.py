@@ -126,3 +126,22 @@ def test_memo_keys_end_with_field():
         isinstance(key, ast.Tuple) and key.elts
         and isinstance(key.elts[-1], ast.Name) and key.elts[-1].id == "field")]
     assert keys and not found, found
+
+
+def test_verify_reports_through_one_path():
+    # only verify._check times a check body and builds its CheckReport, and
+    # every check_* is a body decorated by it
+    path = pathlib.Path(qtsym.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    wrapper = defs.get("_check")
+    found = ["line %d: %s" % (line, name) for name, line in _references(tree)
+             if name in ("perf_counter", "CheckReport")
+             and not (wrapper and wrapper.lineno <= line <= wrapper.end_lineno)]
+    for name, node in defs.items():
+        if name.startswith("check_") and not any(
+            isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "_check"
+            for d in node.decorator_list
+        ):
+            found.append("line %d: %s is not decorated by _check" % (node.lineno, name))
+    assert wrapper and found == [], found

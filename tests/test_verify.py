@@ -715,6 +715,14 @@ def test_decomposition_examples():
     assert check_decomposition(P(2, 1), 3, 2).passed()
 
 
+def test_decomposition_names_the_first_differing_monomial(monkeypatch):
+    # every phi doubled: the right side is twice the left
+    real = verify.morris_phi
+    monkeypatch.setattr(verify, "morris_phi", lambda lam, mu, field=F: real(lam, mu, field) * F.from_int(2))
+    report = check_decomposition(P(2, 1), 3, 2)
+    assert (report.status, report.witness) == ("fail", "expansion differs at monomial (0, 1, 2)")
+
+
 def test_decomposition_sweep_passes():
     reports = list(run_suite("decomposition", {"N": 2, "max_weight": 2}))
     assert all(r.passed() and r.witness is None for r in reports), [r.witness for r in reports]
