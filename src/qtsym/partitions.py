@@ -61,18 +61,17 @@ def grevlex_key(p):
     return (sum(p), tuple(-x for x in p))
 
 
-def enumerate_partitions(weight, max_length=None, exact_length=None, max_part=None):
+def enumerate_partitions(weight, max_length=None, exact_length=None):
     """All partitions of `weight` under the constraints, in reverse-lex order."""
     if weight < 0:
         raise ValueError("weight must be nonnegative")
     if exact_length is not None:
         out = []
-        for p in enumerate_partitions(weight, max_length=exact_length, max_part=max_part):
+        for p in enumerate_partitions(weight, max_length=exact_length):
             if len(p) == exact_length:
                 out.append(p)
         return out
     limit = weight if max_length is None else min(max_length, weight)
-    cap = weight if max_part is None else min(max_part, weight)
     out = []
 
     def rec(remaining, largest, prefix):
@@ -84,7 +83,7 @@ def enumerate_partitions(weight, max_length=None, exact_length=None, max_part=No
         for part in range(min(largest, remaining), 0, -1):
             rec(remaining - part, part, prefix + (part,))
 
-    rec(weight, cap, ())
+    rec(weight, weight, ())
     return out
 
 

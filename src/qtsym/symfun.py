@@ -344,13 +344,13 @@ def adjoint_apply(f, g):
     result = {}
     for lam, a in fp.coeffs.items():
         work = gp.coeffs
-        factor = a
         for n in lam:
             work = _dpn(work, n, field)
             if not work:
                 break
-            factor = factor * field.from_int(n) * (field.one - field.q ** n) / (field.one - field.t ** n)
-        axpy(result, work, factor)
+        else:
+            # prod_n n (1-q^n)/(1-t^n) = z_lam prod (1-q^n)/(1-t^n) / prod m_n!
+            axpy(result, work, a * _ip_factor(lam, field) / field.from_int(stats(lam).c))
     return SymFun("p", result, g.degree_bound, field)
 
 

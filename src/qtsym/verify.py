@@ -44,14 +44,12 @@ from .partitions import (
 from .ratfun import SYMBOLIC, first_unequal_rows
 from .symfun import (
     BiSymFun,
-    NSymPoly,
     SymFun,
     XPoly,
     _pair_product,
     _slot,
     axpy,
     convert,
-    divide_by_vandermonde,
     expand_x,
     restrict,
 )
@@ -388,17 +386,7 @@ def check_corollary(mu, field=SYMBOLIC):
 
 def _embed_skip(xp, N, skip):
     # relabel an (N-1)-variable polynomial onto the N slots avoiding `skip`
-    out = {}
-    for e, c in xp.coeffs.items():
-        ne = [0] * N
-        j = 0
-        for i in range(N):
-            if i == skip:
-                continue
-            ne[i] = e[j]
-            j += 1
-        out[tuple(ne)] = c
-    return XPoly(N, out, xp.field)
+    return XPoly(N, {e[:skip] + (0,) + e[skip:]: c for e, c in xp.coeffs.items()}, xp.field)
 
 
 def alternant_F(mu, n, N, field=SYMBOLIC):
@@ -431,10 +419,9 @@ def _validate_alternant_decomposition(mu, n, N, total, field):
     if N % 2 == 0:
         lhs = -lhs
     rhs = XPoly.zero(N, field)
-    q_small = hl_alternant(mu, N - 1, field)
-    b_mu = t_factors(mu, field=field).b
+    q_small = expand_x(hl_alternant(mu, N - 1, field)).scale(t_factors(mu, field=field).b)
     for i in range(N):
-        block = _embed_skip(expand_x(q_small), N, i).scale(b_mu)
+        block = _embed_skip(q_small, N, i)
         delta = _pair_product(N, -field.one, field, skip=i)
         piece = XPoly(N, {_slot(N, i, N - 1 + n): field.one}, field) * delta * block
         rhs = rhs + piece if i % 2 == 0 else rhs - piece
@@ -533,35 +520,21 @@ def check_finite_symbol(N, degree_bound, field=SYMBOLIC):
     xcap = D + N * (N - 1) // 2
     rows = families.q_row_series(D, field) if D >= 1 else []
     empty = Partition()
-    # T_i: 1 + sum_n x_i^n Q_n(y), keyed by the p expansion of the y side
-    t_factors_by_var = []
+    # row i depends on x_i alone, so det = A(diagonal product); each factor
+    # x_i^(N-1-i) (T(x_i) - u t^-i), T(x) = 1 + sum_n x^n Q_n(y), is keyed
+    # by (p expansion alpha of the y side, power s of u)
+    diagonal = {(empty, 0): symfun.xpoly_one(N, field)}
     for i in range(N):
-        entry = {empty: symfun.xpoly_one(N, field)}
-        for n in range(1, D + 1):
-            xp = XPoly(N, {_slot(N, i, n): field.one}, field)
-            for alpha, c in rows[n - 1].coeffs.items():
-                _accumulate(entry, alpha, xp.scale(c))
-        t_factors_by_var.append(entry)
-    det = {}
-    for sigma in permutations(range(N)):
-        sign = symfun._perm_sign(sigma)
-        prod = {(empty, 0): symfun.xpoly_one(N, field)}
-        for i in range(N):
-            j = sigma[i] + 1
-            xmono = XPoly(N, {_slot(N, i, N - j): field.one}, field)
-            # the shift -u t^(1-j) is the u^1 term of the slot
-            factor = {(alpha, 0): xp for alpha, xp in t_factors_by_var[i].items()}
-            factor[(empty, 1)] = XPoly(N, {(0,) * N: -field.t ** (1 - j)}, field)
-            factor = {key: (xmono * xp).total_degree_cap(xcap) for key, xp in factor.items()}
-            prod = _ts_mul(prod, factor, xcap, D)
-        for key, xp in prod.items():
-            _accumulate(det, key, xp if sign > 0 else -xp)
+        e = N - 1 - i
+        factor = {(empty, 0): XPoly(N, {_slot(N, i, e): field.one}, field),
+                  (empty, 1): XPoly(N, {_slot(N, i, e): -field.t ** -i}, field)}
+        for n, row in enumerate(rows, 1):
+            for alpha, c in row.coeffs.items():
+                factor[(alpha, 0)] = XPoly(N, {_slot(N, i, e + n): c}, field)
+        diagonal = _ts_mul(diagonal, factor, xcap, D)
     lhs = {}
-    for key, xp in det.items():
-        if xp.is_zero():
-            continue
-        quot = divide_by_vandermonde(xp)
-        quot = NSymPoly(N, {k: c for k, c in quot.coeffs.items() if sum(k) <= D}, field)
+    for key, xp in diagonal.items():
+        quot = symfun.alternant_quotient(xp)
         if not quot.is_zero():
             lhs[key] = quot
     rhs = {}

@@ -57,7 +57,6 @@ def test_enumerate_weight_4():
 def test_enumerate_constraints():
     assert enumerate_partitions(3, exact_length=2) == [(2, 1)]
     assert enumerate_partitions(0) == [EMPTY]
-    assert enumerate_partitions(4, max_part=2) == [(2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert enumerate_partitions(4, max_length=2) == [(4,), (3, 1), (2, 2)]
     assert enumerate_partitions(2, exact_length=5) == []
 

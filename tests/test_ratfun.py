@@ -262,6 +262,61 @@ def test_remainder_sequence_fallback_agrees():
     assert checked >= 10
 
 
+def _shared_factor_pairs(seed, count):
+    """Distinct pairs (g, a g (1+qt), b g (1+qt)): every pair has a common
+    factor in both q and t, so poly_gcd sends it to the bivariate gcd."""
+    rng = random.Random(seed)
+    mixed = poly("1+q*t")
+    pairs, seen = [], set()
+    while len(pairs) < count:
+        g, a, b = (_random_poly(rng) for _ in range(3))
+        if not (g and a and b):
+            continue
+        x, y = a * g * mixed, b * g * mixed
+        if x != y and (x, y) not in seen:
+            seen.add((x, y))
+            pairs.append((g * mixed, x, y))
+    return pairs
+
+
+def test_bivariate_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    # with every evaluation at an integer t refused, _b_gcd must end in its
+    # remainder sequence and still return the gcd of the heuristic route
+    pairs = _shared_factor_pairs(16180, 12)
+    ratfun._GCD_MEMO.clear()
+    expected = [poly_gcd(x, y) for _, x, y in pairs]
+    ratfun._GCD_MEMO.clear()
+    calls = []
+    real = ratfun._b_gcd_prs
+
+    def counted(f, g):
+        calls.append(f)
+        return real(f, g)
+
+    monkeypatch.setattr(ratfun, "_b_eval_t", lambda f, xi: ())
+    monkeypatch.setattr(ratfun, "_b_gcd_prs", counted)
+    got = [poly_gcd(x, y) for _, x, y in pairs]
+    assert len(calls) == len(pairs)
+    assert got == expected
+    for (g, _, _), h in zip(pairs, got):
+        ratfun.poly_divexact(h, g)  # raises unless the known factor divides
+
+
+def test_gcd_memo_resets_at_its_limit(monkeypatch):
+    pairs = _shared_factor_pairs(31337, 8)
+    ratfun._GCD_MEMO.clear()
+    expected = [poly_gcd(x, y) for _, x, y in pairs]
+    ratfun._GCD_MEMO.clear()
+    monkeypatch.setattr(ratfun, "_GCD_MEMO_LIMIT", 2)
+    got, sizes = [], []
+    for _, x, y in pairs:
+        got.append(poly_gcd(x, y))
+        sizes.append(len(ratfun._GCD_MEMO))
+    assert got == expected
+    # each miss on a full memo empties it before storing its own entry
+    assert sizes == [1, 2] * (len(pairs) // 2)
+
+
 def test_numeric_field_point():
     rng = random.Random(1)
     f = random_point(rng)

@@ -690,6 +690,25 @@ def test_caches_hold_no_zero_coefficients():
 def test_finite_symbol_small():
     assert check_finite_symbol(1, 2).passed()
     assert check_finite_symbol(2, 2).passed()
+    # past N = 2 the determinant has more than two terms
+    for N in (3, 4):
+        assert check_finite_symbol(N, 3).passed()
+        assert check_finite_symbol(N, 3, random_point(random.Random(1729 + N))).passed()
+
+
+def test_finite_symbol_multiplies_out_one_diagonal_product(monkeypatch):
+    # one factor product per row: the determinant is the alternant of the
+    # diagonal product, not a sum of N! row products
+    calls = []
+    real = verify._ts_mul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "_ts_mul", counted)
+    assert check_finite_symbol(3, 3).passed()
+    assert len(calls) == 3
 
 
 def test_finite_symbol_failure_names_the_component(monkeypatch):
@@ -703,9 +722,10 @@ def test_finite_symbol_failure_names_the_component(monkeypatch):
         return out
 
     monkeypatch.setattr(verify, "hall_littlewood", faulty)
-    report = check_finite_symbol(2, 2)
-    assert not report.passed()
-    assert report.witness == "u^0, y-component p(1, 1) differs"
+    for N in (2, 3):
+        report = check_finite_symbol(N, 2)
+        assert not report.passed()
+        assert report.witness == "u^0, y-component p(1, 1) differs"
 
 
 def test_decomposition_examples():
