@@ -12,14 +12,11 @@ triangular solve.
 
 from __future__ import annotations
 
-import math
-
 from .partitions import (
     Partition,
     enumerate_partitions,
     grevlex_key,
     kostka_rows,
-    multiplicities,
     power_sum_step,
     push_parts,
     stats,
@@ -83,6 +80,15 @@ def axpy(target, source, c):
     """target += c * source on coefficient dicts; the caller drops zeros."""
     for k, v in source.items():
         target[k] = target[k] + c * v if k in target else c * v
+
+
+def _first_difference(a, b):
+    """The first key, in sorted order, whose coefficients differ in the
+    dicts a and b; None when they are equal."""
+    for key in sorted(set(a) | set(b)):
+        if a.get(key) != b.get(key):
+            return key
+    return None
 
 
 class _Sparse:
@@ -442,16 +448,6 @@ class XPoly(_Sparse):
                 out[e] = out.get(e, zero) + ca * cb
         return XPoly(self.N, out, self.field)
 
-    def permute(self, perm):
-        """Relabel variables: new exponent of slot perm[i] is the old one of slot i."""
-        out = {}
-        for e, c in self.coeffs.items():
-            ne = [0] * self.N
-            for i, x in enumerate(e):
-                ne[perm[i]] = x
-            out[tuple(ne)] = c
-        return XPoly(self.N, out, self.field)
-
     def total_degree_cap(self, cap):
         return XPoly(self.N, {e: c for e, c in self.coeffs.items() if sum(e) <= cap}, self.field)
 
@@ -508,28 +504,15 @@ def expand_x(p):
 
 
 def collect_symmetric(xp):
-    """Collect a symmetric expansion back into the monomial basis."""
-    groups = {}
-    for e, c in xp.coeffs.items():
-        pattern = tuple(sorted(e, reverse=True))
-        groups.setdefault(pattern, []).append((e, c))
-    out = {}
-    for pattern, entries in groups.items():
-        e0, c0 = entries[0]
-        expected = math.factorial(xp.N)
-        for k in multiplicities(pattern).values():
-            expected //= math.factorial(k)
-        if len(entries) != expected or any(c != c0 for _, c in entries[1:]):
-            for e in _distinct_permutations(list(pattern)):
-                c = xp.coeffs.get(e, xp.field.zero)
-                if c != c0:
-                    raise NotSymmetric(
-                        "coefficients differ on one exponent orbit",
-                        witness=(e0, e),
-                    )
-        key = Partition(x for x in pattern if x)
-        out[key] = c0
-    return NSymPoly(xp.N, out, xp.field)
+    """Collect a symmetric expansion back into the monomial basis: read the
+    weakly descending terms of xp, and refuse unless their orbits give xp
+    back; the witness is the first exponent where the two differ."""
+    out = NSymPoly(xp.N, {Partition(x for x in e if x): c for e, c in xp.coeffs.items()
+                          if all(a >= b for a, b in zip(e, e[1:]))}, xp.field)
+    e = _first_difference(expand_x(out).coeffs, xp.coeffs)
+    if e is not None:
+        raise NotSymmetric("coefficients differ on one exponent orbit", witness=e)
+    return out
 
 
 def _descending_sign(e):
@@ -564,6 +547,19 @@ def antisymmetrize_to_schur(xp):
     return {nu: c for nu, c in acc.items() if c}
 
 
+def antisymmetrize(xp):
+    """A(xp), the signed symmetrisation sum_sigma sign(sigma) xp(x_sigma):
+    each Schur index nu of `antisymmetrize_to_schur` writes its orbit
+    a_(nu + delta) once."""
+    N = xp.N
+    out = {}
+    for nu, c in antisymmetrize_to_schur(xp).items():
+        padded = list(nu) + [0] * (N - len(nu))
+        for e in _distinct_permutations([x + N - 1 - i for i, x in enumerate(padded)]):
+            out[e] = c if _descending_sign(e) > 0 else -c
+    return XPoly(N, out, xp.field)
+
+
 def alternant_quotient(xp):
     """A(xp) / a_delta in the monomial basis, A the signed symmetrisation."""
     out = {}
@@ -573,26 +569,16 @@ def alternant_quotient(xp):
 
 
 def divide_by_vandermonde(xp):
-    """Exact quotient of an alternating polynomial by the Vandermonde."""
-    N = xp.N
-    groups = {}
-    for e, c in xp.coeffs.items():
-        if len(set(e)) < N:
-            raise NotAlternating("term with a repeated exponent", witness=e)
-        pattern = tuple(sorted(e, reverse=True))
-        groups.setdefault(pattern, []).append((e, c))
-    canonical_terms = {}
-    full = math.factorial(N)
-    for pattern, entries in groups.items():
-        canonical = dict(entries).get(pattern)
-        if canonical is None or len(entries) != full:
-            raise NotAlternating("incomplete alternation orbit", witness=pattern)
-        for e, c in entries:
-            expected = canonical if _descending_sign(e) > 0 else -canonical
-            if c != expected:
-                raise NotAlternating("inconsistent signs on an orbit", witness=(pattern, e))
-        canonical_terms[pattern] = canonical
-    return alternant_quotient(XPoly(N, canonical_terms, xp.field))
+    """Exact quotient of an alternating polynomial by the Vandermonde.
+
+    xp alternates exactly when A(xp) = N! xp, that is when xp is the
+    alternant of its strictly descending terms; otherwise this refuses with
+    the first exponent where xp and those terms' orbits differ."""
+    strict = XPoly(xp.N, {e: c for e, c in xp.coeffs.items() if all(a > b for a, b in zip(e, e[1:]))}, xp.field)
+    e = _first_difference(antisymmetrize(strict).coeffs, xp.coeffs)
+    if e is not None:
+        raise NotAlternating("coefficients differ on one alternation orbit", witness=e)
+    return alternant_quotient(strict)
 
 
 # ---------------------------------------------------------------------------

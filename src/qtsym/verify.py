@@ -18,7 +18,7 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from . import families, macops, symfun
 from .families import (
@@ -46,6 +46,7 @@ from .symfun import (
     BiSymFun,
     SymFun,
     XPoly,
+    _first_difference,
     _pair_product,
     _slot,
     axpy,
@@ -78,14 +79,6 @@ class CheckReport:
             "witness": self.witness,
             "elapsed": round(self.elapsed, 6),
         }
-
-
-def _first_difference(a, b):
-    # the first key, in sorted order, whose coefficients differ
-    for key in sorted(set(a) | set(b)):
-        if a.get(key) != b.get(key):
-            return key
-    return None
 
 
 def _check(name, params):
@@ -401,12 +394,7 @@ def alternant_F(mu, n, N, field=SYMBOLIC):
     for e, c in seed.coeffs.items():
         key = tuple(e[i] + pad[i] for i in range(N - 1)) + (N - 1 + n,)
         shifted[key] = c
-    base = XPoly(N, shifted, field)
-    total = XPoly.zero(N, field)
-    for sigma in permutations(range(N)):
-        sign = symfun._perm_sign(sigma)
-        img = base.permute(sigma)
-        total = total + img if sign > 0 else total - img
+    total = symfun.antisymmetrize(XPoly(N, shifted, field))
     _validate_alternant_decomposition(mu, n, N, total, field)
     return total
 

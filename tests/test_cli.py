@@ -161,6 +161,11 @@ def test_exit_code_parse_error(capsys):
     code, _, err = run_cli(capsys, "apply", "--op", "A", "--k", "1", "--to-expr", "p[1")
     assert code == 2
     assert "error" in err
+    # a malformed generator partition, and a division by a non-scalar
+    for expr, message in (("m[2,x]", "bad partition '2,x'"), ("p[1]/p[1]", "division only by scalars")):
+        code, out, err = run_cli(capsys, "apply", "--op", "A", "--k", "1", "--to-expr", expr)
+        assert (code, out) == (2, ""), expr
+        assert message in err, expr
 
 
 def test_exit_code_bad_partition(capsys):
@@ -175,6 +180,8 @@ def test_exit_code_precondition(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, "verify", "green", "--mode", "numeric")
     assert code == 3
+    code, out, err = run_cli(capsys, "expand", "--family", "schur", "--partition", "2,1", "--degree-bound", "2")
+    assert (code, out) == (3, "") and "degree bound 2 below the weight" in err
     # a seed without numeric mode would run the symbolic sweep and draw no point
     code, out, err = run_cli(capsys, "verify", "theorem", "--max-degree", "10", "--seed", "7")
     assert (code, out) == (3, "") and "--seed requires --mode numeric" in err

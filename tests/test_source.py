@@ -128,6 +128,20 @@ def test_memo_keys_end_with_field():
     assert keys and not found, found
 
 
+def test_no_library_module_imports_permutations():
+    # alternants are formed and recognised through the Schur index of
+    # symfun.antisymmetrize, never by summing N! relabelled copies
+    found = []
+    for path in sorted(pathlib.Path(qtsym.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                found.extend("%s:%d" % (path.name, node.lineno) for a in node.names if a.name == "permutations")
+            elif (isinstance(node, ast.Attribute) and node.attr == "permutations"
+                  and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
 def test_verify_reports_through_one_path():
     # only verify._check times a check body and builds its CheckReport, and
     # every check_* is a body decorated by it

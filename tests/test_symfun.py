@@ -16,6 +16,7 @@ from qtsym.symfun import (
     XPoly,
     _perm_sign,
     adjoint_apply,
+    antisymmetrize,
     axpy,
     collect_symmetric,
     convert,
@@ -264,9 +265,21 @@ def test_collect_symmetric_round_trip():
 
 
 def test_collect_symmetric_rejects():
-    xp = XPoly(2, {(1, 0): one, (0, 1): -one})
-    with pytest.raises(NotSymmetric):
-        collect_symmetric(xp)
+    # the witness is the first exponent where xp and the orbits of its
+    # descending terms differ
+    with pytest.raises(NotSymmetric) as exc:
+        collect_symmetric(XPoly(2, {(1, 0): one, (0, 1): -one}))
+    assert exc.value.witness == (0, 1)
+    # one coefficient of the orbit of m_(2,1) changed
+    coeffs = dict(expand_x(NSymPoly(3, {P(2, 1): rf("q")})).coeffs)
+    coeffs[(1, 0, 2)] = one
+    with pytest.raises(NotSymmetric) as exc:
+        collect_symmetric(XPoly(3, coeffs))
+    assert exc.value.witness == (1, 0, 2)
+    # terms without their descending representative
+    with pytest.raises(NotSymmetric) as exc:
+        collect_symmetric(XPoly(3, {(0, 1, 0): one, (0, 0, 1): one}))
+    assert exc.value.witness == (0, 0, 1)
 
 
 def test_collect_constant():
@@ -291,10 +304,55 @@ def test_divide_by_vandermonde_degree_three():
 
 
 def test_divide_by_vandermonde_rejects():
-    with pytest.raises(NotAlternating):
-        divide_by_vandermonde(XPoly(2, {(1, 1): one}))
-    with pytest.raises(NotAlternating):
-        divide_by_vandermonde(XPoly(2, {(1, 0): one, (0, 1): one}))
+    # the witness is the first exponent where xp and the alternant of its
+    # strictly descending terms differ
+    cases = [
+        (XPoly(2, {(1, 1): one}), (1, 1)),
+        (XPoly(2, {(1, 0): one, (0, 1): one}), (0, 1)),
+        # two of the six terms of a_(2,1,0)
+        (XPoly(3, {(2, 1, 0): one, (1, 2, 0): -one}), (0, 1, 2)),
+    ]
+    # one flipped sign on the full orbit of a_(2,1,0); flipping the
+    # descending term flips the whole re-expanded orbit
+    full = antisymmetrize(XPoly(3, {(2, 1, 0): rf("q")}))
+    assert len(full.coeffs) == 6
+    for e in full.coeffs:
+        coeffs = dict(full.coeffs)
+        coeffs[e] = -coeffs[e]
+        cases.append((XPoly(3, coeffs), e if e != (2, 1, 0) else (0, 1, 2)))
+    for xp, witness in cases:
+        with pytest.raises(NotAlternating) as exc:
+            divide_by_vandermonde(xp)
+        assert exc.value.witness == witness, xp.coeffs
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_divide_by_vandermonde_inverts_antisymmetrize(N):
+    # A(x^e) = sign(sigma) a_(nu + delta) for e = (nu + delta) o sigma, and
+    # a_(nu + delta) / a_delta is s_nu in N variables
+    for w in range(4):
+        for nu in enumerate_partitions(w, max_length=N):
+            strict = [x + N - 1 - i for i, x in enumerate(list(nu) + [0] * (N - len(nu)))]
+            s_nu = restrict(SymFun.generator("s", nu), N)
+            for sigma in permutations(range(N)):
+                e = tuple(strict[sigma[i]] for i in range(N))
+                got = divide_by_vandermonde(antisymmetrize(XPoly(N, {e: one})))
+                assert got == (s_nu if _perm_sign(sigma) > 0 else -s_nu), (nu, e)
+    # a repeated exponent alternates to zero
+    assert divide_by_vandermonde(antisymmetrize(XPoly(N, {(1,) * N: one}))).is_zero()
+
+
+def test_antisymmetrize_twice_is_N_factorial_times_once():
+    rng = random.Random(20261022)
+    scalars = [one, -one, rf("q"), rf("1-t"), F.from_int(3)]
+    nonzero = 0
+    for N in (1, 2, 3, 4):
+        for _ in range(6):
+            xp = XPoly(N, {tuple(rng.randrange(N + 2) for _ in range(N)): rng.choice(scalars) for _ in range(8)})
+            once = antisymmetrize(xp)
+            assert antisymmetrize(once) == once.scale(F.from_int(math.factorial(N))), xp.coeffs
+            nonzero += not once.is_zero()
+    assert nonzero >= 12
 
 
 def test_schur_in_m_classical():

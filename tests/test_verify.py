@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import random
+from itertools import permutations
 
 import pytest
 
@@ -623,6 +624,34 @@ def test_alternant_divisible_by_vandermonde():
                 divide_by_vandermonde(f)  # must not raise
 
 
+def _relabel(e, sigma):
+    # the exponent of slot sigma[i] becomes the old one of slot i
+    out = [0] * len(e)
+    for i, x in enumerate(e):
+        out[sigma[i]] = x
+    return tuple(out)
+
+
+def _alternant_F_reference(mu, n, N, field):
+    # the N!-copy loop: x^mu x_N^(N-1+n) prod_(i<j<N) (x_i - t x_j), every
+    # relabelling by sigma added with the sign of sigma
+    top = tuple(mu) + (0,) * (N - 1 - len(mu)) + (N - 1 + n,)
+    base = XPoly(N, {top: field.one}, field) * symfun._pair_product(N, -field.t, field, skip=N - 1)
+    total = XPoly.zero(N, field)
+    for sigma in permutations(range(N)):
+        image = XPoly(N, {_relabel(e, sigma): c for e, c in base.coeffs.items()}, field)
+        total = total + image if symfun._perm_sign(sigma) > 0 else total - image
+    return total
+
+
+@pytest.mark.parametrize("field", [F, random_point(random.Random(20261022))], ids=["symbolic", "numeric"])
+def test_alternant_matches_the_signed_permutation_sum(field):
+    for N in (2, 3, 4):
+        for mu in partitions_up_to(3, max_length=N - 1):
+            for n in range(3):
+                assert alternant_F(mu, n, N, field) == _alternant_F_reference(mu, n, N, field), (mu, n, N)
+
+
 def test_schur_support_below_target():
     # quotients of the strip alternants only involve Schur terms strictly
     # below the target partition in the natural order
@@ -664,6 +693,12 @@ def test_proposition_names_a_surviving_monomial(monkeypatch):
     monkeypatch.setattr(verify, "morris_phi", lambda lam, mu, field=F: real(lam, mu, field) * F.from_int(2))
     report = check_proposition(3, P(2, 1))
     assert (report.status, report.witness) == ("fail", "monomial (1, 2, 3) survives with (-1+t^2)")
+
+
+def test_run_suite_refuses_an_unknown_name():
+    # the runner is a generator, so the refusal comes with the first report
+    with pytest.raises(KeyError, match="nope"):
+        list(run_suite("nope"))
 
 
 def test_caches_hold_no_zero_coefficients():
